@@ -6,7 +6,10 @@ port, hit ``/healthz`` and one ``/sample`` with the client library, then
 SIGTERM the server and assert it drains and exits cleanly (code 0).
 The same pass then repeats with ``--server-workers 2`` — the
 multi-process serving tier must boot, serve, and drain (including its
-worker processes and shared-memory segments) just as cleanly.
+worker processes and shared-memory segments) just as cleanly.  Last, the
+bulk export path: ``repro synth -n 20000`` at ``--workers 2`` and at
+``--workers 1`` must both exit 0, write byte-identical CSV files, and
+leave no ``.tmp-*`` file behind.
 
 Every wait is bounded, so a wedged server fails the job instead of
 hanging it.  Run from the repository root::
@@ -97,6 +100,42 @@ def run_pass(registry_dir: str, extra_args: list, label: str) -> None:
             fail(f"[{label}] server had to be killed")
 
 
+def run_export(registry_dir: str, out_dir: str, workers: int) -> bytes:
+    """One ``repro synth`` CSV export through the CLI; returns its bytes."""
+    out = os.path.join(out_dir, f"rows-{workers}.csv")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "synth", "--registry",
+             registry_dir, "--model-name", "smoke", "-n", "20000",
+             "--workers", str(workers), "--out", out],
+            capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        fail(f"[synth workers={workers}] still running after {TIMEOUT_S}s")
+    print(f"[synth workers={workers}] {done.stdout.strip()}")
+    if done.returncode != 0:
+        fail(f"[synth workers={workers}] exited {done.returncode}: "
+             f"{done.stderr.strip()}")
+    with open(out, "rb") as handle:
+        return handle.read()
+
+
+def check_exports(registry_dir: str) -> None:
+    """Worker count must not change a byte of the export."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        two = run_export(registry_dir, out_dir, 2)
+        one = run_export(registry_dir, out_dir, 1)
+        if two != one:
+            fail("synth CSV differs between --workers 2 and --workers 1")
+        rows = two.count(b"\r\n") - 1
+        if rows != 20000:
+            fail(f"synth CSV holds {rows} rows, expected 20000")
+        leftovers = [name for name in os.listdir(out_dir) if ".tmp-" in name]
+        if leftovers:
+            fail(f"export left temporary files behind: {leftovers}")
+    print(f"synth exports identical at --workers 2 and 1 ({len(two)} bytes)")
+
+
 def check_shm_clean() -> None:
     """No serving-pool shared-memory segments may outlive their server."""
     if not os.path.isdir("/dev/shm"):
@@ -115,6 +154,7 @@ def main() -> None:
         run_pass(registry_dir, [], "threaded")
         run_pass(registry_dir, ["--server-workers", "2"], "workers=2")
         check_shm_clean()
+        check_exports(registry_dir)
     print("SMOKE PASSED")
 
 

@@ -65,7 +65,6 @@ into the CI regression tripwire (:func:`check_report`).
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 import time
 
@@ -98,6 +97,7 @@ from repro.serve import (
     SynthesisServer,
     SynthesisService,
 )
+from repro.utils.threads import usable_cores
 
 #: The synthetic 16×16 benchmark workload (≈ the quickstart scale, but with
 #: the deeper conv ladder a 16-sided record matrix exercises).
@@ -334,10 +334,7 @@ def _training_timings(workload: dict, repeats: int) -> dict:
                 for key in baseline)
         for n in worker_counts[1:]
     )
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        cores = os.cpu_count() or 1
+    cores = usable_cores()
     serial = epoch_s[str(worker_counts[0])]
     result = {
         "workers": worker_counts,
@@ -658,7 +655,7 @@ def _serving_load_timings(workload: dict) -> dict:
             # the sweep still runs (the invariance data matters more than
             # the timing) but the scaling tripwire is skipped with a note,
             # exactly like the training section's.
-            cores = os.cpu_count() or 1
+            cores = usable_cores()
             sweep_counts = (1, 2, 4)
             sweep_runs: dict = {}
             for count in sweep_counts:

@@ -31,6 +31,12 @@ decomposition* that does not mention workers at all:
 5.  All randomness (epoch shuffles, latent draws) happens on the master's
     single generator, exactly as in the serial loop.
 
+With more than one process, every process computes shards on
+``max(1, cores // workers)`` BLAS threads (:mod:`repro.utils.threads`):
+the workers from their start, the master for the duration of
+:meth:`ParallelTrainer.train`, after which its previous count is
+restored.  The thread count changes no result bit.
+
 The per-batch op sequence is the trainer's
 :class:`~repro.core.schedule.UpdateSchedule`, partitioned into
 synchronization *rounds* (:meth:`UpdateSchedule.rounds`).  Per round the
@@ -80,6 +86,7 @@ from repro.nn.batchnorm import BatchNorm
 from repro.obs import trace
 from repro.utils.faults import fault_point
 from repro.utils.rng import ensure_rng
+from repro.utils.threads import budget_blas_threads, set_blas_threads
 
 #: Fixed net order for gradient areas, BatchNorm replay, and payloads.
 _NET_TAGS = ("g", "d", "c")
@@ -303,6 +310,7 @@ def _worker_main(trainer: "ParallelTrainer", rank: int, shard_ids,
     memory, gradients are private copy-on-write scratch)."""
     round_id = -1
     try:
+        budget_blas_threads(trainer._n_procs)
         executor = _ShardExecutor(trainer, shard_ids, trainer._stats_view())
         while True:
             command = cmd_queue.get()
@@ -805,6 +813,8 @@ class ParallelTrainer(TableGanTrainer):
         self._init_bn_canonical()
         self._rounds = self.schedule.rounds()
         self._round_id = 0
+        blas_threads = (budget_blas_threads(self._n_procs)
+                        if self._n_procs > 1 else None)
         try:
             self._setup_shared(matrices, batch, n_features)
             self._spawn_workers()
@@ -860,6 +870,8 @@ class ParallelTrainer(TableGanTrainer):
             self._shutdown_workers()
             self._teardown_shared()
             self._executor = None
+            if blas_threads is not None:
+                set_blas_threads(blas_threads)
 
         history.final_l_mean = self.stats.l_mean
         history.final_l_sd = self.stats.l_sd

@@ -4,7 +4,9 @@ The evaluation pipeline generates its four datasets synthetically, but a
 downstream user wants to point the library at their own table.  This
 module reads a CSV into a schema-valid :class:`~repro.data.table.Table`
 (with column kinds inferred or declared), and writes Tables back out with
-categorical codes decoded.
+categorical codes decoded.  :class:`RowRenderer` is the one row format
+behind every writer of decoded rows: ``write_csv``, the streaming
+``CsvSink`` and the server's CSV and JSON responses.
 """
 
 from __future__ import annotations
@@ -114,36 +116,159 @@ def read_csv(path, qids=(), label: str | None = None,
     return Table(np.column_stack(data), schema)
 
 
-def iter_decoded_rows(table: Table):
-    """Yield each row of ``table`` as a list with categoricals decoded.
+#: Rows per rendered CSV block.  Rendering a block holds every cell of it
+#: as a Python string, so the block bounds the renderer's memory.  On a
+#: 32-column table 256 rows render as fast as 1,024 and keep the export's
+#: peak resident set ~5 MiB lower.
+CSV_BLOCK_ROWS = 256
 
-    The shared row renderer behind :func:`write_csv` and the serving
-    layer's streaming :class:`~repro.serve.sinks.CsvSink` — one place
-    defines how a row looks on disk.
+#: Characters that make ``csv.writer``'s default dialect quote a field.
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+#: Discrete columns whose rounded values fit in int64 take one vectorized
+#: cast; others (and non-finite ones, which must raise) take ``int()``.
+_INT64_BOUND = 2.0 ** 63
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a field of ``csv.writer``'s default (minimal) quoting."""
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _discrete_ints(block: np.ndarray) -> np.ndarray:
+    """Discrete values rounded to integers, as ``int(np.rint(v))`` gives them.
+
+    In-range blocks take one int64 cast; others (and non-finite values,
+    which must raise as ``int()`` raises) take Python ints cell by cell.
     """
-    decoded = [table.decode_column(name) for name in table.schema.names]
-    for i in range(table.n_rows):
-        yield [column[i] for column in decoded]
+    rounded = np.rint(block)
+    if ((rounded >= -_INT64_BOUND) & (rounded < _INT64_BOUND)).all():
+        return rounded.astype(np.int64)
+    return np.array([[int(v) for v in row] for row in rounded.tolist()],
+                    dtype=object)
+
+
+class RowRenderer:
+    """One schema's row format, shared by every writer of decoded rows.
+
+    Decodes a value matrix the way :meth:`~repro.data.table.Table.
+    decode_column` decodes each column — categorical codes to vocabulary
+    strings, discretes to rounded Python ints, continuous values as floats
+    — but one column *kind* at a time, so the per-call cost does not grow
+    with the column count.  :meth:`rows` assembles the decoded values into
+    rows (the JSON responses' shape); :meth:`csv_blocks` renders them as
+    CSV text byte-identical to ``csv.writer``'s default dialect (minimal
+    quoting, CRLF line ends, ``repr`` floats), column by column, one
+    bounded block of rows at a time.
+    """
+
+    def __init__(self, schema: TableSchema):
+        self.schema = schema
+        kinds = [spec.kind for spec in schema.columns]
+
+        def where(kind):
+            return np.array([j for j, k in enumerate(kinds) if k is kind],
+                            dtype=np.intp)
+
+        self._continuous = where(ColumnKind.CONTINUOUS)
+        self._discrete = where(ColumnKind.DISCRETE)
+        self._categorical = where(ColumnKind.CATEGORICAL)
+        self._groups = (self._continuous, self._discrete, self._categorical)
+        # Every categorical column's vocabulary in one flat array: a code
+        # matrix plus per-column offsets decodes in one fancy index.
+        specs = [schema.columns[j] for j in self._categorical]
+        sizes = np.array([spec.n_categories for spec in specs], dtype=int)
+        self._tops = sizes - 1
+        self._offsets = np.cumsum(sizes) - sizes
+        categories = [c for spec in specs for c in spec.categories]
+        quoted = [_csv_field(c) for c in categories]
+        if schema.n_columns == 1:
+            # csv.writer quotes a record that would otherwise be an empty
+            # line: the lone field of a one-column row.
+            quoted = [q or '""' for q in quoted]
+        self._vocabulary = np.array(categories, dtype=object)
+        self._csv_vocabulary = np.array(quoted, dtype=object)
+        self._all_continuous = len(self._continuous) == schema.n_columns
+        #: The CSV header line (column names), terminator included.
+        self.csv_header = ",".join(map(_csv_field, schema.names)) + "\r\n"
+
+    def _decode(self, values: np.ndarray, vocabulary: np.ndarray) -> tuple:
+        """``values`` split by kind and decoded: (floats, ints, strings)."""
+        codes = np.clip(np.rint(values[:, self._categorical]).astype(int),
+                        0, self._tops)
+        return (values[:, self._continuous],
+                _discrete_ints(values[:, self._discrete]),
+                vocabulary[codes + self._offsets])
+
+    def rows(self, values: np.ndarray) -> list[list]:
+        """Every row of ``values`` decoded, as a list per row."""
+        if self._all_continuous:
+            # Continuous columns decode to plain floats: one C-level call.
+            return values.tolist()
+        cells = np.empty(values.shape, dtype=object)
+        for index, part in zip(self._groups,
+                               self._decode(values, self._vocabulary)):
+            cells[:, index] = part
+        return cells.tolist()
+
+    def _csv_columns(self, values: np.ndarray) -> list[list[str]]:
+        """Each column of ``values`` as its CSV fields."""
+        floats, ints, strings = self._decode(values, self._csv_vocabulary)
+        columns = [None] * values.shape[1]
+        for j, column in zip(self._continuous, floats.T.tolist()):
+            columns[j] = list(map(repr, column))
+        for j, column in zip(self._discrete, ints.T.tolist()):
+            columns[j] = list(map(str, column))
+        for j, column in zip(self._categorical, strings.T.tolist()):
+            columns[j] = column
+        return columns
+
+    def csv_blocks(self, values: np.ndarray, block_rows: int = CSV_BLOCK_ROWS):
+        """Yield the CSV text of ``values``' rows, ``block_rows`` at a time."""
+        for start in range(0, values.shape[0], block_rows):
+            columns = self._csv_columns(values[start:start + block_rows])
+            yield "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+
+    def csv_text(self, values: np.ndarray, header: bool = False) -> str:
+        """The CSV text of ``values``' rows, after the header if asked."""
+        blocks = self.csv_blocks(values)
+        return "".join([self.csv_header, *blocks] if header else blocks)
+
+
+_RENDERERS: dict[int, RowRenderer] = {}
+
+
+def row_renderer(schema: TableSchema) -> RowRenderer:
+    """The :class:`RowRenderer` of ``schema``, built once per schema object.
+
+    Response paths render a few rows per call, so the per-schema set-up
+    (quoted vocabularies) is cached rather than rebuilt per request.
+    """
+    renderer = _RENDERERS.get(id(schema))
+    if renderer is None or renderer.schema is not schema:
+        if len(_RENDERERS) >= 64:
+            _RENDERERS.clear()
+        renderer = _RENDERERS[id(schema)] = RowRenderer(schema)
+    return renderer
+
+
+def iter_decoded_rows(table: Table):
+    """Yield each row of ``table`` as a list with categoricals decoded."""
+    yield from row_renderer(table.schema).rows(table.values)
 
 
 def decoded_rows(table: Table) -> list[list]:
-    """All rows of ``table`` decoded at once — same rendering as
-    :func:`iter_decoded_rows`, buffered.
-
-    All-continuous tables take a single C-level ``tolist`` instead of the
-    per-cell python loop (continuous columns decode to plain floats, so
-    the rendering is identical); that loop is the dominant cost on the
-    synthesis server's response path, where every request re-renders its
-    rows.
-    """
-    if all(spec.kind is ColumnKind.CONTINUOUS for spec in table.schema.columns):
-        return table.values.tolist()
-    return list(iter_decoded_rows(table))
+    """All rows of ``table`` decoded: categoricals as their strings,
+    discretes as ints, continuous values as floats (the JSON row shape)."""
+    return row_renderer(table.schema).rows(table.values)
 
 
 def write_csv(table: Table, path) -> None:
     """Write a Table to CSV, decoding categorical codes to their strings."""
+    renderer = row_renderer(table.schema)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(table.schema.names)
-        writer.writerows(iter_decoded_rows(table))
+        handle.write(renderer.csv_header)
+        for block in renderer.csv_blocks(table.values):
+            handle.write(block)

@@ -63,8 +63,6 @@ the batcher workers.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
 import threading
@@ -74,7 +72,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 
 import numpy as np
 
-from repro.data.io import decoded_rows
+from repro.data.io import decoded_rows, row_renderer
 from repro.data.table import Table
 from repro.obs import trace
 from repro.serve.registry import CorruptArtifactError, RegistryError
@@ -114,12 +112,6 @@ def _json_bytes(payload) -> bytes:
     # every response on the hot path.
     return (json.dumps(payload, default=_json_default,
                        separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def _csv_bytes(rows) -> bytes:
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(rows)
-    return buffer.getvalue().encode("utf-8")
 
 
 def _ndjson_bytes(rows) -> bytes:
@@ -528,7 +520,8 @@ class _Handler(BaseHTTPRequestHandler):
         render_started = time.perf_counter()
         with trace.span("render", fmt=fmt, rows=n):
             if fmt == "csv":
-                body = _csv_bytes([list(schema.names), *decoded_rows(table)])
+                body = row_renderer(schema).csv_text(
+                    table.values, header=True).encode("utf-8")
                 content_type = "text/csv; charset=utf-8"
             else:
                 # Hand-assembled but byte-identical to _json_bytes of the
@@ -602,7 +595,8 @@ class _Handler(BaseHTTPRequestHandler):
             # fall through to a second HTTP response written mid-body.
             try:
                 if fmt == "csv":
-                    self._write_chunk(_csv_bytes([list(schema.names)]))
+                    self._write_chunk(
+                        row_renderer(schema).csv_header.encode("utf-8"))
                 self._write_rows(schema, fmt, first_values)
                 for values, _offset in chunks:
                     self._write_rows(schema, fmt, values)
@@ -621,8 +615,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _write_rows(self, schema, fmt: str, values) -> None:
         render_started = time.perf_counter()
-        rows = decoded_rows(Table(values, schema))
-        data = _csv_bytes(rows) if fmt == "csv" else _ndjson_bytes(rows)
+        table = Table(values, schema)
+        if fmt == "csv":
+            data = row_renderer(schema).csv_text(table.values).encode("utf-8")
+        else:
+            data = _ndjson_bytes(decoded_rows(table))
         self.app.observe_render(time.perf_counter() - render_started)
         self._write_chunk(data)
 

@@ -62,6 +62,7 @@ from repro.obs.profile import PhaseProfile
 from repro.serve.service import ServiceStats
 from repro.utils.faults import fault_point
 from repro.utils.rng import ensure_rng
+from repro.utils.threads import budget_blas_threads
 
 
 class WorkerPoolError(RuntimeError):
@@ -124,8 +125,8 @@ def _unlink_quietly(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-def _pool_worker_main(rank, registry_root, ref, dec_name, lat_name, slots,
-                      block_rows, batch_rows, n_features, latent_dim,
+def _pool_worker_main(rank, workers, registry_root, ref, dec_name, lat_name,
+                      slots, block_rows, batch_rows, n_features, latent_dim,
                       task_q, result_q, trace_log, quality_cfg=None):
     """One model worker: drain ``task_q``, generate blocks into the ring.
 
@@ -147,6 +148,9 @@ def _pool_worker_main(rank, registry_root, ref, dec_name, lat_name, slots,
     trace._TRACER = None
     if trace_log:
         trace.arm(str(trace_log))
+    # The pool's workers share the cores: each takes its share of BLAS
+    # threads (the threaded tier's single process keeps the default).
+    budget_blas_threads(workers)
     dec_shm = _attach_segment(dec_name)
     lat_shm = _attach_segment(lat_name)
     try:
@@ -374,10 +378,10 @@ class WorkerPoolService:
         q = self._ctx.SimpleQueue()
         proc = self._ctx.Process(
             target=_pool_worker_main,
-            args=(rank, self._registry_root, self.ref, self._dec_shm.name,
-                  self._lat_shm.name, self._S, self._B, self.batch_rows,
-                  self.n_features, self.latent_dim, q, self._result_q,
-                  self._trace_log, self._quality_cfg),
+            args=(rank, self.workers, self._registry_root, self.ref,
+                  self._dec_shm.name, self._lat_shm.name, self._S, self._B,
+                  self.batch_rows, self.n_features, self.latent_dim, q,
+                  self._result_q, self._trace_log, self._quality_cfg),
             name=f"pool-{self.name}-{rank}", daemon=True)
         proc.start()
         self._task_qs[rank] = q

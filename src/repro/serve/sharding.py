@@ -19,18 +19,28 @@ Hence ``--workers 1`` and ``--workers 8`` produce **bit-identical**
 output; the pool only decides which process computes which shard.  Workers
 re-load from the registry instead of inheriting live objects, so the same
 code path works under both ``fork`` and ``spawn`` start methods.
+
+Each pool worker takes ``max(1, cores // workers)`` BLAS threads (see
+:mod:`repro.utils.threads`), so ``N`` workers do not oversubscribe the
+cores; the in-process path (one worker) keeps the library default.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.table import Table
 from repro.serve.registry import ModelRegistry, RegistryError
+from repro.utils.threads import budget_blas_threads
+
+#: Shards dispatched to the pool but not yet taken by the consumer, per
+#: worker: enough to keep every worker busy while the consumer writes.
+IN_FLIGHT_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,8 @@ def plan_shards(n: int, shard_rows: int, seed=None) -> list[Shard]:
 _WORKER_MODEL: dict = {}
 
 
-def _worker_init(root: str, name: str) -> None:
+def _worker_init(root: str, name: str, workers: int) -> None:
+    budget_blas_threads(workers)
     _WORKER_MODEL["model"] = ModelRegistry(root).load(name)
 
 
@@ -96,7 +107,9 @@ class ShardedSampler:
         Registered model name (``TableGAN`` or ``ChunkedTableGAN``).
     shard_rows:
         Rows per shard.  Also the unit of streaming: sinks receive one
-        shard at a time, so peak memory is ``O(shard_rows)``, not ``O(n)``.
+        shard at a time, and at most ``IN_FLIGHT_PER_WORKER × workers``
+        more are dispatched ahead, so peak memory is
+        ``O(workers × shard_rows)``, not ``O(n)``.
     start_method:
         ``multiprocessing`` start method; default ``fork`` where available
         (cheap on POSIX), else ``spawn``.
@@ -139,7 +152,12 @@ class ShardedSampler:
         return reference.codec_.schema_
 
     def _shard_values(self, shards, workers: int):
-        """Yield each shard's decoded values, in shard order."""
+        """Yield each shard's decoded values, in shard order.
+
+        With a pool, at most ``IN_FLIGHT_PER_WORKER × workers`` shards are
+        dispatched and not yet yielded: a consumer slower than the workers
+        stalls dispatch instead of piling finished shards up in memory.
+        """
         workers = min(int(workers), len(shards))
         if workers <= 1:
             model = self.model()
@@ -151,11 +169,19 @@ class ShardedSampler:
         ctx = multiprocessing.get_context(self.start_method)
         with ctx.Pool(
             workers, initializer=_worker_init,
-            initargs=(os.fspath(self.registry.root), self.name),
+            initargs=(os.fspath(self.registry.root), self.name, workers),
         ) as pool:
-            # imap preserves shard order while shards compute out of order,
-            # so results stream to the caller as their turn comes up.
-            yield from pool.imap(_sample_shard, shards)
+            # Shards compute out of order but are taken in shard order, and
+            # a new one is dispatched only as the oldest is taken.
+            window = IN_FLIGHT_PER_WORKER * workers
+            pending = deque(pool.apply_async(_sample_shard, (shard,))
+                            for shard in shards[:window])
+            for shard in shards[window:]:
+                values = pending.popleft().get()
+                pending.append(pool.apply_async(_sample_shard, (shard,)))
+                yield values
+            while pending:
+                yield pending.popleft().get()
 
     def sample_values(self, n: int, seed=None, workers: int = 1) -> np.ndarray:
         """``n`` decoded rows as a value matrix, invariant to ``workers``."""
@@ -171,8 +197,9 @@ class ShardedSampler:
         """Stream ``n`` rows into ``sink`` shard by shard; returns rows written.
 
         Combined with the streaming sinks this generates multi-million-row
-        outputs in bounded memory: no more than one shard per worker is in
-        flight, and each shard is written and dropped as soon as its turn
+        outputs in bounded memory: besides the shard being written, at most
+        ``IN_FLIGHT_PER_WORKER × workers`` shards are dispatched and not yet
+        written, and each shard is written and dropped as soon as its turn
         in the output order arrives.
         """
         shards = plan_shards(n, self.shard_rows, seed)

@@ -2,16 +2,18 @@
 
 A sink accepts decoded table values chunk by chunk (each chunk typically
 one shard from :class:`~repro.serve.sharding.ShardedSampler`) and writes
-them to disk immediately, so peak memory is one chunk regardless of total
-output size.  Both sinks are **atomic**: content goes to a temporary file
-next to the destination and is committed with ``os.replace`` on a clean
-close; on error (or ``close(commit=False)``) the temporary file is removed
-and the destination is never touched — a crashed million-row export leaves
-no half-written file behind.
+them to disk immediately, so the sink itself holds one chunk at a time
+regardless of total output size (the CSV sink renders that chunk in
+bounded blocks of rows).  Both sinks are **atomic**: content goes to a
+temporary file next to the destination and is committed with
+``os.replace`` on a clean close; on error (or ``close(commit=False)``) the
+temporary file is removed and the destination is never touched — a
+crashed million-row export leaves no half-written file behind.
 
 * :class:`CsvSink` — schema-aware CSV with categorical codes decoded to
-  their vocabulary strings, row format shared with
-  :func:`repro.data.io.write_csv` via ``iter_decoded_rows``.
+  their vocabulary strings, rendered column by column by the
+  :class:`~repro.data.io.RowRenderer` that :func:`repro.data.io.write_csv`
+  and the server's CSV responses share.
 * :class:`NpzSink` — a ``np.load``-compatible ``.npz`` archive written
   incrementally: each chunk becomes one ``chunk_NNNNN`` member (plus a
   ``columns`` member), so neither writer nor reader ever needs the full
@@ -20,13 +22,12 @@ no half-written file behind.
 
 from __future__ import annotations
 
-import csv
 import os
 import zipfile
 
 import numpy as np
 
-from repro.data.io import iter_decoded_rows
+from repro.data.io import row_renderer
 from repro.data.schema import TableSchema
 from repro.data.table import Table
 from repro.utils.faults import fault_point
@@ -86,9 +87,9 @@ class CsvSink(_AtomicSink):
     def __init__(self, path, schema: TableSchema):
         super().__init__(path)
         self.schema = schema
+        self._renderer = row_renderer(schema)
         self._handle = open(self._tmp, "w", newline="")
-        self._writer = csv.writer(self._handle)
-        self._writer.writerow(schema.names)
+        self._handle.write(self._renderer.csv_header)
 
     def write(self, values) -> int:
         """Write one chunk (a value matrix or a Table); returns its row count."""
@@ -102,7 +103,8 @@ class CsvSink(_AtomicSink):
         )
         if table.schema is not self.schema and table.schema != self.schema:
             raise ValueError("chunk schema does not match the sink schema")
-        self._writer.writerows(iter_decoded_rows(table))
+        for block in self._renderer.csv_blocks(table.values):
+            self._handle.write(block)
         self.rows_written += table.n_rows
         return table.n_rows
 

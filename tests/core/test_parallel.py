@@ -19,6 +19,7 @@ from repro.core.networks import build_classifier, build_discriminator, build_gen
 from repro.core.parallel import (
     ParallelTrainer,
     ParallelTrainingError,
+    _ShardExecutor,
     shard_bounds,
 )
 from repro.nn import Sequential, state_dict
@@ -26,6 +27,7 @@ from repro.nn.flatbuf import FlatParameterBuffer
 from repro.nn.layers import Dense
 from repro.nn.optim import reference_optimizers
 from repro.utils.faults import FaultError, FaultPlan
+from repro.utils.threads import blas_threads, usable_cores
 
 DATA_SEED = 7
 TRAIN_SEED = 3
@@ -275,6 +277,27 @@ class TestWorkerCountInvariance:
         trainer, _ = run_training(2, config=tiny_config(epochs=1))
         # Children are reaped on the way out of train().
         assert trainer.worker_pids == []
+
+
+@pytest.mark.mp
+class TestBlasThreadBudget:
+    def test_every_process_takes_its_share_then_the_master_restores(
+            self, blas_probe):
+        default = blas_threads()
+        blas_probe.wrap(_ShardExecutor, "run_round")
+        run_training(2, config=tiny_config(epochs=1))
+        records = blas_probe.records()
+        pids = {pid for pid, _count in records}
+        assert os.getpid() in pids and len(pids) == 2
+        assert {count for _pid, count in records} == {
+            max(1, usable_cores() // 2)}
+        assert blas_threads() == default
+
+    def test_single_process_keeps_the_default(self, blas_probe):
+        default = blas_threads()
+        blas_probe.wrap(_ShardExecutor, "run_round")
+        run_training(1, config=tiny_config(epochs=1))
+        assert set(blas_probe.records()) == {(os.getpid(), default)}
 
 
 @pytest.mark.slow

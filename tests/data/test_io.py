@@ -1,10 +1,24 @@
 """CSV import/export for user-supplied tables."""
 
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.data.io import read_csv, write_csv
-from repro.data.schema import ColumnKind, ColumnRole
+from repro.data.io import (
+    RowRenderer,
+    decoded_rows,
+    iter_decoded_rows,
+    read_csv,
+    row_renderer,
+    write_csv,
+)
+from repro.data.schema import ColumnKind, ColumnRole, ColumnSpec, TableSchema
+from repro.data.table import Table
 
 
 @pytest.fixture()
@@ -95,3 +109,120 @@ class TestRoundTrip:
         assert out.exists()
         again = read_csv(str(out))
         assert again.n_rows == 20
+
+
+# ----------------------------------------------------------------------
+# The columnar row renderer against the csv.writer oracle.
+# ----------------------------------------------------------------------
+_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+                     1e16, 5e-324, -5e-324, 1.5, -1e-7]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_DISCRETES = st.one_of(
+    st.integers(-10**6, 10**6).map(float),
+    st.sampled_from([-0.0, -2.5, 0.5, 1e16, -1e20, 2.0**63, -2.0**63]),
+    st.floats(-1e6, 1e6),
+)
+_CATEGORY = st.text(alphabet=st.sampled_from(list('ab ,"\r\n')), max_size=4)
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(list(ColumnKind)), min_size=1,
+                          max_size=4))
+    n_rows = draw(st.integers(0, 6))
+    columns, data = [], []
+    for j, kind in enumerate(kinds):
+        name = draw(st.sampled_from(["c", 'q"x', "a,b", "l\nm"])) + str(j)
+        if kind is ColumnKind.CATEGORICAL:
+            categories = tuple(draw(st.lists(_CATEGORY, min_size=1,
+                                             max_size=4)))
+            codes = st.floats(-2, len(categories) + 2)
+            column = draw(st.lists(codes, min_size=n_rows, max_size=n_rows))
+        else:
+            categories = ()
+            cells = _FLOATS if kind is ColumnKind.CONTINUOUS else _DISCRETES
+            column = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        columns.append(ColumnSpec(name, kind, ColumnRole.SENSITIVE,
+                                  categories))
+        data.append(column)
+    values = np.array(data, dtype=np.float64).T.reshape(n_rows, len(kinds))
+    return Table(values, TableSchema(columns))
+
+
+def _oracle_rows(table):
+    decoded = [table.decode_column(name) for name in table.schema.names]
+    return [[column[i] for column in decoded] for i in range(table.n_rows)]
+
+
+def _oracle_csv(table) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(table.schema.names)
+    writer.writerows(_oracle_rows(table))
+    return buffer.getvalue()
+
+
+class TestRowRenderer:
+    @settings(max_examples=300, deadline=None)
+    @given(_tables(), st.integers(1, 4))
+    def test_csv_matches_csv_writer(self, table, block_rows):
+        renderer = RowRenderer(table.schema)
+        blocks = renderer.csv_blocks(table.values, block_rows=block_rows)
+        text = renderer.csv_header + "".join(blocks)
+        assert text == _oracle_csv(table)
+        assert renderer.csv_text(table.values, header=True) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tables())
+    def test_rows_match_decode_column(self, table):
+        rows = decoded_rows(table)
+        oracle = _oracle_rows(table)
+        assert json.dumps(rows) == json.dumps(oracle)
+        assert [[type(v) for v in row] for row in rows] == \
+            [[type(v) for v in row] for row in oracle]
+        assert json.dumps(list(iter_decoded_rows(table))) == json.dumps(rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(table=_tables())
+    def test_write_csv_matches_csv_writer(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("render") / "out.csv"
+        write_csv(table, path)
+        with open(path, newline="") as handle:
+            assert handle.read() == _oracle_csv(table)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_discrete_raises(self, bad):
+        schema = TableSchema([ColumnSpec("d", ColumnKind.DISCRETE,
+                                         ColumnRole.SENSITIVE)])
+        table = Table(np.array([[1.0], [bad]]), schema)
+        with pytest.raises((ValueError, OverflowError)):
+            table.decode_column("d")
+        with pytest.raises((ValueError, OverflowError)):
+            RowRenderer(schema).csv_text(table.values)
+        with pytest.raises((ValueError, OverflowError)):
+            decoded_rows(table)
+
+    def test_one_column_empty_category_is_quoted(self):
+        schema = TableSchema([ColumnSpec("c", ColumnKind.CATEGORICAL,
+                                         ColumnRole.SENSITIVE, ("", "x"))])
+        table = Table(np.array([[0.0], [1.0]]), schema)
+        assert RowRenderer(schema).csv_text(table.values) == '""\r\nx\r\n'
+        assert RowRenderer(schema).csv_text(table.values) == \
+            _oracle_csv(table).split("\r\n", 1)[1]
+
+    def test_zero_rows_render_header_only(self, tmp_path):
+        schema = TableSchema([ColumnSpec("a", ColumnKind.CONTINUOUS,
+                                         ColumnRole.SENSITIVE)])
+        table = Table(np.empty((0, 1)), schema)
+        write_csv(table, tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_bytes() == b"a\r\n"
+        assert decoded_rows(table) == []
+
+    def test_renderer_is_cached_per_schema_object(self, adult_bundle):
+        schema = adult_bundle.train.schema
+        assert row_renderer(schema) is row_renderer(schema)
+        clone = TableSchema.from_dict(schema.to_dict())
+        assert row_renderer(clone) is not row_renderer(schema)

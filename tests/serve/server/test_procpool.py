@@ -21,9 +21,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.sampler import RecordSampler
 from repro.serve import SynthesisService
 from repro.serve.server import WorkerPoolError, WorkerPoolService
 from repro.utils.faults import FaultPlan
+from repro.utils.threads import blas_threads, usable_cores
 
 BATCH = 64
 
@@ -107,6 +109,26 @@ class TestBitEquality:
             gc.collect()  # release the slot leases before teardown
         finally:
             pool.close()
+
+
+class TestBlasThreadBudget:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_take_their_share(self, populated_registry, blas_probe,
+                                      workers):
+        default = blas_threads()
+        blas_probe.wrap(RecordSampler, "records_from_latents")
+        pool = make_pool(populated_registry, workers=workers)
+        try:
+            drain_blocks(pool, [4 * BATCH])
+        finally:
+            pool.close()
+        records = blas_probe.records()
+        assert records
+        assert os.getpid() not in {pid for pid, _count in records}
+        assert {count for _pid, count in records} == {
+            max(1, usable_cores() // workers)}
+        # The front end (a threaded server process) keeps its default.
+        assert blas_threads() == default
 
 
 class TestCrashRecovery:
