@@ -1,12 +1,17 @@
-"""CI smoke test for data-parallel training: worker-count invariance.
+"""CI smoke test for data-parallel training: worker-count invariance, and
+the serial trainer as the one-shard run.
 
-Three real ``python -m repro train`` subprocesses over the same data and
-seed, differing only in ``--workers`` (1, 2, 4).  The contract under test
-is the one documented in ``repro.core.parallel``: the trained weights are
-a pure function of (data, config, gradient shards, seed) — never of the
-worker count.  The acceptance check loads all three saved generators and
-compares every array with ``np.array_equal`` — bit-identical weights,
-not merely close.
+Five real ``python -m repro train`` subprocesses over the same data and
+seed.  Two contracts documented in ``repro.core.parallel`` are under test:
+
+* ``--workers`` 1, 2 and 4 (default four gradient shards): the trained
+  weights are a pure function of (data, config, gradient shards, seed) —
+  never of the worker count;
+* no ``--workers`` (the serial trainer) against ``--workers 2
+  --grad-shards 1``: one gradient shard *is* the serial trainer.
+
+The acceptance check loads the saved generators and compares every array
+with ``np.array_equal`` — bit-identical weights, not merely close.
 
 Every wait is bounded, so a wedged worker fails the job instead of
 hanging it.  Run from the repository root::
@@ -27,6 +32,9 @@ TRAIN_ARGS = [
 ]
 
 WORKER_COUNTS = (1, 2, 4)
+#: The serial run (no ``--workers``) and its one-shard data-parallel twin.
+SERIAL_ARGS = ()
+ONE_SHARD_ARGS = ("--workers", "2", "--grad-shards", "1")
 
 
 def fail(message: str) -> None:
@@ -34,10 +42,9 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
-def run_train(workers, model_path):
-    label = f"workers={workers}"
+def run_train(extra_args, model_path, label):
     command = [sys.executable, "-m", "repro", "train", *TRAIN_ARGS,
-               "--workers", str(workers), "--model", model_path]
+               *extra_args, "--model", model_path]
     print(f"[{label}] {' '.join(command)}")
     try:
         result = subprocess.run(command, capture_output=True, text=True,
@@ -52,7 +59,8 @@ def run_train(workers, model_path):
         fail(f"{label} run never reported completion")
 
 
-def compare_generators(baseline_path, other_path, label):
+def compare_generators(baseline_path, other_path, baseline_label, label,
+                       contract):
     import numpy as np
 
     with np.load(baseline_path) as baseline, np.load(other_path) as other:
@@ -61,10 +69,10 @@ def compare_generators(baseline_path, other_path, label):
                  f"{sorted(set(baseline.files) ^ set(other.files))}")
         for key in baseline.files:
             if not np.array_equal(baseline[key], other[key]):
-                fail(f"array {key!r} differs between --workers 1 and "
-                     f"{label} — training is not worker-count invariant")
+                fail(f"array {key!r} differs between {baseline_label} and "
+                     f"{label} — {contract}")
         print(f"[{label}] all {len(baseline.files)} arrays bit-identical "
-              "with --workers 1")
+              f"with {baseline_label}")
 
 
 def main() -> None:
@@ -72,9 +80,18 @@ def main() -> None:
         models = {n: os.path.join(tmp, f"workers{n}.npz")
                   for n in WORKER_COUNTS}
         for n in WORKER_COUNTS:
-            run_train(n, models[n])
+            run_train(("--workers", str(n)), models[n], f"workers={n}")
         for n in WORKER_COUNTS[1:]:
-            compare_generators(models[1], models[n], f"workers={n}")
+            compare_generators(models[1], models[n], "--workers 1",
+                               f"workers={n}",
+                               "training is not worker-count invariant")
+        serial = os.path.join(tmp, "serial.npz")
+        one_shard = os.path.join(tmp, "one-shard.npz")
+        run_train(SERIAL_ARGS, serial, "serial")
+        run_train(ONE_SHARD_ARGS, one_shard, "workers=2 grad-shards=1")
+        compare_generators(serial, one_shard, "the serial trainer",
+                           "workers=2 grad-shards=1",
+                           "one gradient shard is not the serial trainer")
     print("TRAIN-PARALLEL SMOKE PASSED")
 
 

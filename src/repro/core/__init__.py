@@ -30,11 +30,16 @@ from repro.core.networks import (
     build_generator_1d,
     feature_width,
 )
-from repro.core.parallel import ParallelTrainer, ParallelTrainingError, shard_bounds
+from repro.core.parallel import ParallelTrainer, ParallelTrainingError
 from repro.core.sampler import RecordSampler
 from repro.core.schedule import UpdateSchedule
 from repro.core.tablegan import TableGAN
-from repro.core.trainer import EpochLosses, TableGanTrainer, TrainingHistory
+from repro.core.trainer import (
+    EpochLosses,
+    TableGanTrainer,
+    TrainingHistory,
+    shard_bounds,
+)
 
 __all__ = [
     "TableGAN",

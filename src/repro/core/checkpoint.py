@@ -147,19 +147,28 @@ class TrainerCheckpointer:
     # ------------------------------------------------------------------
     def _fingerprint(self, trainer) -> str:
         config = trainer.config
-        # Worker count is deliberately absent: the data-parallel trainer's
-        # result is a pure function of (data, config, schedule, shard
-        # count), so a checkpoint taken at N=4 workers resumes bit-exactly
-        # at N=2.  The shard count and schedule *do* change the numbers
-        # and therefore do fingerprint (0 shards = the serial loop).
+        # Worker count is deliberately absent: a training run is a pure
+        # function of (data, config, schedule, shard count), so a
+        # checkpoint taken at N=4 workers resumes bit-exactly at N=2.  The
+        # shard count and schedule *do* change the numbers and therefore
+        # do fingerprint; the serial trainer is the one-shard run.
         return json.dumps({
             "epochs": config.epochs,
             "batch_size": config.batch_size,
             "dtype": np.dtype(trainer._dtype).name,
             "classifier": trainer.opt_c is not None,
             "schedule": list(trainer.schedule.ops),
-            "grad_shards": getattr(trainer, "grad_shards", 0),
+            "grad_shards": trainer.grad_shards,
         }, sort_keys=True)
+
+    @staticmethod
+    def _run_config(fingerprint: str) -> dict:
+        """A fingerprint as a dict.  Serial checkpoints from before the
+        serial trainer became the one-shard run recorded 0 shards."""
+        config = json.loads(fingerprint)
+        if config.get("grad_shards") == 0:
+            config["grad_shards"] = 1
+        return config
 
     def save(self, trainer, rng, *, epoch: int, batch_start: int,
              perm: np.ndarray | None, sums: np.ndarray | None,
@@ -286,7 +295,8 @@ class TrainerCheckpointer:
         if payload is None:
             return None
         saved_fp = str(payload["meta.config"][()])
-        if saved_fp != self._fingerprint(trainer):
+        if self._run_config(saved_fp) != self._run_config(
+                self._fingerprint(trainer)):
             raise CheckpointError(
                 "checkpoint belongs to a different training configuration: "
                 f"saved {saved_fp}, current {self._fingerprint(trainer)}"

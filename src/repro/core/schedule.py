@@ -13,8 +13,9 @@ ops, one entry per optimizer step or statistics refresh within a
 mini-batch.  ``UpdateSchedule.from_config`` reproduces the seed interleave
 exactly (the contract tests in ``tests/core/test_schedule.py`` pin the
 replay down bit-for-bit), and :meth:`UpdateSchedule.rounds` derives the
-synchronization-round grouping the data-parallel trainer
-(:mod:`repro.core.parallel`) executes between gradient all-reduces.
+synchronization-round grouping the trainer (:mod:`repro.core.trainer`)
+executes, stepping each optimizer once per round on the sum of the
+round's gradient shards.
 
 Ops
 ---
@@ -99,7 +100,7 @@ class UpdateSchedule:
         return sum(1 for op in self.ops if op == "g")
 
     def rounds(self) -> tuple[tuple[str, ...], ...]:
-        """The schedule partitioned into data-parallel synchronization rounds.
+        """The schedule partitioned into synchronization rounds.
 
         A round is a maximal run of ops whose gradient computations all
         read the *pre-round* weights and statistics, so workers can

@@ -110,13 +110,14 @@ class TableGAN:
         workers:
             ``None`` (default) runs the serial trainer.  An integer selects
             the data-parallel trainer (:mod:`repro.core.parallel`) with
-            that many processes — whose result is bit-identical for every
-            worker count, including 1, but not to the serial loop (the
-            shard decomposition, not the worker count, is what changes the
-            numbers).
+            that many processes, whose result is bit-identical for every
+            worker count: the shard decomposition, not the worker count,
+            is what changes the numbers.
         grad_shards:
             Gradient shards per global batch for the data-parallel
-            trainer; ignored when ``workers`` is ``None``.
+            trainer; ignored when ``workers`` is ``None``.  One shard is
+            the serial trainer: ``grad_shards=1`` reproduces
+            ``workers=None`` bit for bit at any worker count.
         """
         config = self.config
         rng = ensure_rng(rng if rng is not None else config.seed)

@@ -19,6 +19,17 @@ the (frozen) discriminator/classifier:
   record zeroed on the way in (``remove``) and the direct dependence of the
   synthesized label on the generator output added back separately.
 
+This module is the one implementation of the loop.  Every mini-batch is
+split into ``grad_shards`` fixed row ranges (:func:`shard_bounds`) and the
+:class:`~repro.core.schedule.UpdateSchedule` into synchronization rounds
+(:meth:`~repro.core.schedule.UpdateSchedule.rounds`).  Per round,
+:class:`ShardOps` computes every shard's gradient from the pre-round
+weights, then each optimizer steps once.  :class:`TableGanTrainer` is the
+one-shard, one-process case: the gradient never leaves the parameters and
+each optimizer steps in place.  :class:`~repro.core.parallel.ParallelTrainer`
+changes only where a round's shards are computed and how their gradients
+are summed.
+
 All three Adam optimizers default to the fused flat-buffer path
 (:mod:`repro.nn.optim`): each network's parameters are materialized as
 views into one contiguous buffer, so every ``step()`` is a handful of
@@ -47,9 +58,14 @@ from repro.core.losses import (
 from repro.core.networks import FEATURE_LAYER
 from repro.core.schedule import UpdateSchedule
 from repro.nn import Adam, Sequential
+from repro.nn.batchnorm import BatchNorm
 from repro.obs import trace
 from repro.obs.profile import PhaseProfile
 from repro.utils.rng import ensure_rng
+
+#: Where each op's losses land in a batch's (d, g_adv, g_info, g_class, c)
+#: loss vector.
+_LOSS_SLOTS = {"d": slice(0, 1), "g": slice(1, 4), "c": slice(4, 5)}
 
 
 @dataclass
@@ -75,6 +91,263 @@ class TrainingHistory:
         self.epochs.append(losses)
 
 
+def shard_bounds(rows: int, shards: int) -> list[tuple[int, int]]:
+    """Split ``rows`` batch rows into ``shards`` contiguous ranges.
+
+    The first ``rows % shards`` shards get one extra row.  This is the
+    *fixed decomposition* every determinism guarantee hangs off: it
+    depends only on (rows, shards), never on worker count.
+    """
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    if rows < shards:
+        raise ValueError(f"cannot split {rows} rows into {shards} shards")
+    base, extra = divmod(rows, shards)
+    bounds, start = [], 0
+    for s in range(shards):
+        stop = start + base + (1 if s < extra else 0)
+        bounds.append((start, stop))
+        start = stop
+    return bounds
+
+
+def _bn_layers(net: Sequential | None) -> list[BatchNorm]:
+    """The BatchNorm layers of ``net`` in layer order."""
+    if net is None:
+        return []
+    return [layer for layer in net.layers if isinstance(layer, BatchNorm)]
+
+
+class ShardOps:
+    """The Algorithm 2 op set, run over one process's shards of a batch.
+
+    Every process that computes shards holds one: the serial trainer
+    (which owns the single shard), and the data-parallel master and each
+    of its workers.  An op leaves one shard's gradient in the network's
+    parameters and hands it to :meth:`_publish`.  Here that is a no-op,
+    and the optimizer steps on the gradient in place; the data-parallel
+    subclass copies it out to the shard's reduce slot.
+
+    Forward caches follow one rule set, per shard:
+
+    * ``d``, ``stats`` and ``g`` reuse the shard's synthetic batch while
+      G's weights are unchanged (``reuse_fake``, set by the round loop);
+    * the first ``g`` after ``stats`` reuses D's logits on that batch
+      instead of running a second identical D forward.
+
+    A process that owns several shards overwrites one shard's caches with
+    the next one's.  When a ``g`` op needs caches that the rules say are
+    still valid, :meth:`_rebuild` recomputes them with a forward that
+    emits no BatchNorm event.  The running statistics therefore fold each
+    forward of the schedule exactly once, whatever the number of shards
+    per process.
+    """
+
+    def __init__(self, trainer: "TableGanTrainer", shard_ids, stats):
+        self.t = trainer
+        self.shard_ids = sorted(shard_ids)
+        #: The EWMA feature statistics the information loss reads.
+        self.stats = stats
+        self._bn = {
+            "g": _bn_layers(trainer.generator),
+            "d": _bn_layers(trainer.discriminator),
+            "c": _bn_layers(trainer.classifier if trainer.opt_c is not None
+                            else None),
+        }
+        self._fake: dict[int, np.ndarray] = {}
+        self._g_holds: int | None = None  # shard whose forward G's caches hold
+        self._d_holds: int | None = None  # shard whose fake batch D's caches hold
+        self._stats_fresh = False  # the last D-touching round was ``stats``
+
+    def run_round(self, offset: int, rows: int, ops, reuse_fake: bool) -> dict:
+        """Compute ``ops`` on every owned shard of the batch at ``offset``.
+
+        Returns ``{shard: {op: result}}``.  ``reuse_fake`` says the cached
+        synthetic batches are still valid (no G step since they were
+        computed).  It is a fact of the schedule position, so cache
+        behaviour is the same for every worker count.
+        """
+        if not reuse_fake:
+            self._fake.clear()
+            self._g_holds = None
+            self._stats_fresh = False
+        t = self.t
+        bounds = shard_bounds(rows, t.grad_shards)
+        results = {}
+        for shard in self.shard_ids:
+            start, stop = bounds[shard]
+            real = t._epoch_rows[offset + start:offset + stop]
+            z = t._latent[start:stop]
+            results[shard] = self._run_shard(shard, ops, real, z,
+                                             (stop - start) / rows)
+        if "stats" in ops:
+            self._stats_fresh = True
+        elif "d" in ops or "g" in ops:
+            self._stats_fresh = False
+        return results
+
+    def _run_shard(self, shard: int, ops, real, z, weight: float) -> dict:
+        results = {}
+        for op in ops:
+            if op == "d":
+                results[op] = self._op_d(shard, real, z, weight)
+            elif op == "c":
+                results[op] = self._op_c(shard, real, weight)
+            elif op == "stats":
+                results[op] = self._op_stats(shard, real, z)
+            else:  # "g"
+                results[op] = self._op_g(shard, z, weight)
+        return results
+
+    # -- caches ----------------------------------------------------------
+    def _shard_fake(self, shard: int, z: np.ndarray) -> np.ndarray:
+        """The shard's synthetic batch: one G forward per G update."""
+        fake = self._fake.get(shard)
+        if fake is None:
+            fake = self._fake[shard] = self.t.generator.forward(z)
+            self._g_holds = shard
+        return fake
+
+    def _rebuild(self, tag: str, net: Sequential, x: np.ndarray) -> np.ndarray:
+        """Re-run a forward whose caches another shard overwrote.
+
+        It normalizes with the same batch statistics, so the caches come
+        back bit-identical.  But the schedule already counted this forward,
+        so its BatchNorm events go to a throwaway tap instead of the
+        running statistics.
+        """
+        layers = self._bn[tag]
+        taps = [layer.stats_tap for layer in layers]
+        for layer in layers:
+            layer.stats_tap = []
+        try:
+            return net.forward(x)
+        finally:
+            for layer, tap in zip(layers, taps):
+                layer.stats_tap = tap
+
+    def _publish(self, shard: int, tag: str, weight: float) -> None:
+        """Hand the shard's ``tag`` gradient to the step.  With one shard
+        in one process it stays in the parameters."""
+
+    # -- the ops -----------------------------------------------------------
+    def _op_d(self, shard, real, z, weight) -> tuple[float]:
+        """D's gradient on L_orig^D (Algorithm 2 line 8).
+
+        The real and fake halves are back-propagated one after the other
+        (a Sequential holds one forward cache at a time); gradients
+        accumulate across both halves.
+        """
+        t = self.t
+        fake = self._shard_fake(shard, z)
+        t.opt_d.zero_grad()
+        real_logits = t.discriminator.forward(real)
+        # Only the real-half gradient from this call is valid; backprop
+        # it, then run the fake half with its own logits.
+        _, grad_real, _ = discriminator_loss(
+            real_logits, np.zeros_like(real_logits)
+        )
+        t.discriminator.backward(grad_real)
+        fake_logits = t.discriminator.forward(fake)
+        loss, _, grad_fake = discriminator_loss(real_logits, fake_logits)
+        t.discriminator.backward(grad_fake)
+        self._publish(shard, "d", weight)
+        return (loss,)
+
+    def _op_c(self, shard, real, weight) -> tuple[float]:
+        """C's gradient on the classification loss (line 9); a zero loss
+        when the classifier is disabled."""
+        t = self.t
+        if t.opt_c is None:
+            return (0.0,)
+        labels = t._labels01(real)
+        logits = t.classifier.forward(t._remove_label(real))
+        logits = logits.ravel() if labels.ndim == 1 else logits
+        loss, grad_logits, _ = classification_loss(logits, labels)
+        t.opt_c.zero_grad()
+        t.classifier.backward(grad_logits)
+        self._publish(shard, "c", weight)
+        return (loss,)
+
+    def _op_stats(self, shard, real, z) -> tuple[np.ndarray, ...]:
+        """The shard's real and synthetic feature mean/sd from post-update
+        D (lines 10–13).  The real pass runs first, so D's caches end on
+        the synthetic batch, which the next ``g`` op back-propagates
+        through."""
+        t = self.t
+        fake = self._shard_fake(shard, z)
+        t.discriminator.forward(real)
+        features = t.discriminator.activation(FEATURE_LAYER)
+        real_stats = (features.mean(axis=0), features.std(axis=0))
+        t.discriminator.forward(fake)
+        features = t.discriminator.activation(FEATURE_LAYER)
+        self._d_holds = shard
+        return (*real_stats, features.mean(axis=0), features.std(axis=0))
+
+    def _op_g(self, shard, z, weight) -> tuple[float, float, float]:
+        """G's gradient on L_orig + L_info + L_class (line 14)."""
+        t = self.t
+        config = t.config
+        if shard in self._fake and self._g_holds != shard:
+            self._rebuild("g", t.generator, z)
+            self._g_holds = shard
+        fake = self._shard_fake(shard, z)
+        # Adversarial part (through D's logit).
+        if not self._stats_fresh:
+            fake_logits = t.discriminator.forward(fake)
+        elif self._d_holds == shard:
+            fake_logits = t.discriminator.activation(len(t.discriminator) - 1)
+        else:
+            fake_logits = self._rebuild("d", t.discriminator, fake)
+            self._d_holds = shard
+        adv_loss, grad_logits = generator_adversarial_loss(
+            fake_logits, saturating=config.saturating_generator_loss
+        )
+
+        # Information part (injected at D's feature layer).  Backward rules
+        # are linear in the gradient, so the adversarial gradient is carried
+        # down to the feature layer, the information-loss gradient added
+        # there, and the sum propagated through the (expensive) conv stack
+        # once — instead of one full traversal per loss term.  The
+        # parameter gradients this op leaves in D (and C) are by-products:
+        # the next ``d`` (``c``) op zeroes them before it accumulates.
+        info_loss_value = 0.0
+        grad_at_features = t.discriminator.backward_to(FEATURE_LAYER, grad_logits)
+        if config.use_info_loss:
+            synthetic_features = t.discriminator.activation(FEATURE_LAYER)
+            info_loss_value, grad_features = information_loss(
+                self.stats, synthetic_features, config.delta_mean, config.delta_sd
+            )
+            if np.any(grad_features):
+                grad_at_features = grad_at_features + grad_features
+        grad_at_fake = t.discriminator.backward_from(FEATURE_LAYER, grad_at_features)
+
+        # Classification part (through C on label-removed records).
+        class_loss_value = 0.0
+        if t.opt_c is not None:
+            labels = t._labels01(fake)
+            c_logits = t.classifier.forward(t._remove_label(fake))
+            c_logits = c_logits.ravel() if labels.ndim == 1 else c_logits
+            class_loss_value, grad_c_logits, grad_labels = classification_loss(
+                c_logits, labels
+            )
+            grad_via_c = t.classifier.backward(grad_c_logits)
+            # The classifier never saw the label cells; no gradient there.
+            # Direct dependence of the synthesized labels on G's output:
+            # labels01 = (cell + 1) / 2, so d(labels01)/d(cell) = 1/2.
+            if labels.ndim == 1:
+                grad_via_c[t._label_indices[0]] = grad_labels * 0.5
+            else:
+                for j, index in enumerate(t._label_indices):
+                    grad_via_c[index] = grad_labels[:, j] * 0.5
+            grad_at_fake = grad_at_fake + grad_via_c
+
+        t.opt_g.zero_grad()
+        t.generator.backward(grad_at_fake)
+        self._publish(shard, "g", weight)
+        return adv_loss, info_loss_value, class_loss_value
+
+
 class TableGanTrainer:
     """Trains generator/discriminator/classifier on encoded record matrices.
 
@@ -95,9 +368,12 @@ class TableGanTrainer:
         The per-batch update interleave (an
         :class:`~repro.core.schedule.UpdateSchedule`).  Defaults to the
         seed interleave derived from ``config`` — one D step, one C step,
-        a statistics refresh, then ``config.generator_updates`` G steps —
-        which the default executor replays bit-exactly.
+        a statistics refresh, then ``config.generator_updates`` G steps.
     """
+
+    #: Gradient shards per global batch.  The serial trainer is the
+    #: one-shard case of :class:`~repro.core.parallel.ParallelTrainer`.
+    grad_shards = 1
 
     def __init__(self, generator: Sequential, discriminator: Sequential,
                  classifier: Sequential | None, config: TableGanConfig,
@@ -125,8 +401,8 @@ class TableGanTrainer:
                          else UpdateSchedule.from_config(config))
         self.stats: FeatureStats | None = None
         self._dtype = config.np_dtype
-        # Wall-clock spent per schedule op across the whole run; always on
-        # (two perf_counter reads per op) and read back by the bench/CLI.
+        # Wall-clock spent per training phase across the whole run; always
+        # on (two perf_counter reads per phase) and read back by the bench.
         self.profile = PhaseProfile()
 
     # ------------------------------------------------------------------
@@ -168,173 +444,80 @@ class TableGanTrainer:
         return np.stack(columns, axis=1)
 
     # ------------------------------------------------------------------
-    def _update_discriminator(self, real: np.ndarray, fake: np.ndarray) -> float:
-        """One D step on L_orig^D (Algorithm 2 line 8).
-
-        The real and fake halves are back-propagated one after the other
-        (a Sequential holds one forward cache at a time); gradients
-        accumulate across both halves and a single Adam step applies them.
-        """
-        self.opt_d.zero_grad()
-        real_logits = self.discriminator.forward(real)
-        loss, grad_real, grad_fake_template = discriminator_loss(
-            real_logits, np.zeros_like(real_logits)
-        )
-        # Only the real-half gradient from that call is valid; backprop it,
-        # then run the fake half with its own logits.
-        self.discriminator.backward(grad_real)
-        fake_logits = self.discriminator.forward(fake)
-        loss_full, _, grad_fake = discriminator_loss(real_logits, fake_logits)
-        self.discriminator.backward(grad_fake)
-        self.opt_d.step()
-        return loss_full
-
-    def _update_classifier(self, real: np.ndarray) -> float:
-        if self.opt_c is None:
-            return 0.0
-        labels = self._labels01(real)
-        logits = self.classifier.forward(self._remove_label(real))
-        logits = logits.ravel() if labels.ndim == 1 else logits
-        loss, grad_logits, _ = classification_loss(logits, labels)
-        self.opt_c.zero_grad()
-        self.classifier.backward(grad_logits)
-        self.opt_c.step()
-        return loss
-
-    def _update_generator(self, fake: np.ndarray, rng,
-                          d_forward_cached: bool = False) -> tuple[float, float, float]:
-        """Assemble the three-part gradient at the generator output and step G.
-
-        ``fake`` must be the batch produced by the most recent
-        ``generator.forward`` so the generator's caches are consistent.
-        ``d_forward_cached=True`` promises the discriminator's forward
-        caches already hold this exact ``fake`` batch under the current D
-        weights (the epoch loop's statistics refresh guarantees it), so
-        the adversarial logits are read from the cache instead of paying
-        a second identical D forward.
-        """
-        config = self.config
-        # Adversarial part (through D's logit).
-        if d_forward_cached:
-            fake_logits = self.discriminator.activation(len(self.discriminator) - 1)
-        else:
-            fake_logits = self.discriminator.forward(fake)
-        adv_loss, grad_logits = generator_adversarial_loss(
-            fake_logits, saturating=config.saturating_generator_loss
-        )
-        self.opt_d.zero_grad()
-
-        # Information part (injected at D's feature layer).  Backward rules
-        # are linear in the gradient, so the adversarial gradient is carried
-        # down to the feature layer, the information-loss gradient added
-        # there, and the sum propagated through the (expensive) conv stack
-        # once — instead of one full traversal per loss term.
-        info_loss_value = 0.0
-        grad_at_features = self.discriminator.backward_to(FEATURE_LAYER, grad_logits)
-        if config.use_info_loss:
-            synthetic_features = self.discriminator.activation(FEATURE_LAYER)
-            info_loss_value, grad_features = information_loss(
-                self.stats, synthetic_features, config.delta_mean, config.delta_sd
-            )
-            if np.any(grad_features):
-                grad_at_features = grad_at_features + grad_features
-        grad_at_fake = self.discriminator.backward_from(
-            FEATURE_LAYER, grad_at_features
-        )
-
-        # Classification part (through C on label-removed records).
-        class_loss_value = 0.0
-        if self.opt_c is not None:
-            labels = self._labels01(fake)
-            c_logits = self.classifier.forward(self._remove_label(fake))
-            c_logits = c_logits.ravel() if labels.ndim == 1 else c_logits
-            class_loss_value, grad_c_logits, grad_labels = classification_loss(
-                c_logits, labels
-            )
-            self.opt_c.zero_grad()
-            grad_via_c = self.classifier.backward(grad_c_logits)
-            # The classifier never saw the label cells; no gradient there.
-            # Direct dependence of the synthesized labels on G's output:
-            # labels01 = (cell + 1) / 2, so d(labels01)/d(cell) = 1/2.
-            if labels.ndim == 1:
-                grad_via_c[self._label_indices[0]] = grad_labels * 0.5
-            else:
-                for j, index in enumerate(self._label_indices):
-                    grad_via_c[index] = grad_labels[:, j] * 0.5
-            grad_at_fake = grad_at_fake + grad_via_c
-
-        self.opt_g.zero_grad()
-        self.generator.backward(grad_at_fake)
-        self.opt_g.step()
-        return adv_loss, info_loss_value, class_loss_value
-
+    # The round loop.
     # ------------------------------------------------------------------
-    def _run_batch(self, real: np.ndarray, z: np.ndarray, rng
-                   ) -> tuple[float, float, float, float, float]:
-        """Execute one mini-batch following ``self.schedule``.
+    def _open_rounds(self, matrices: np.ndarray, batch: int) -> ShardOps:
+        """Allocate the epoch-row and latent buffers every round reads and
+        return this process's :class:`ShardOps`, which owns the one shard."""
+        self._epoch_rows = np.empty_like(matrices)
+        self._latent = np.empty((batch, self.config.latent_dim), dtype=self._dtype)
+        return ShardOps(self, [0], self.stats)
 
-        Returns the ``(d, g_adv, g_info, g_class, c)`` loss tuple; when a
+    def _compute_round(self, executor: ShardOps, offset: int, rows: int,
+                       ops, reuse_fake: bool) -> dict:
+        """Every shard's results for one round, ``{shard: {op: result}}``."""
+        t0 = time.perf_counter()
+        results = executor.run_round(offset, rows, ops, reuse_fake)
+        self.profile.add("shard_compute", time.perf_counter() - t0)
+        return results
+
+    def _step(self, tag: str, opt: Adam) -> None:
+        """Step ``opt`` on the round's ``tag`` gradient."""
+        t0 = time.perf_counter()
+        opt.step()
+        self.profile.add("optimizer_step", time.perf_counter() - t0)
+
+    def _apply_round(self, ops, results: dict, rows: int,
+                     losses: np.ndarray) -> None:
+        """Fold a round into the run: one optimizer step per gradient op,
+        the feature statistics for ``stats``, and the shard-weighted losses,
+        every sum in shard order."""
+        weights = [(stop - start) / rows
+                   for start, stop in shard_bounds(rows, self.grad_shards)]
+        shards = [results[s] for s in range(self.grad_shards)]
+
+        def fold(values) -> float:
+            total = 0.0
+            for weight, value in zip(weights, values):
+                total += weight * value
+            return total
+
+        optimizers = {"d": self.opt_d, "c": self.opt_c, "g": self.opt_g}
+        for op in ops:
+            if op == "stats":
+                # Every shard's real statistics, then every shard's
+                # synthetic statistics: the serial real-then-synthetic fold.
+                for shard in shards:
+                    self.stats.fold_real(*shard[op][:2])
+                for shard in shards:
+                    self.stats.fold_synthetic(*shard[op][2:])
+                continue
+            losses[_LOSS_SLOTS[op]] = [
+                fold(values) for values in zip(*(shard[op] for shard in shards))
+            ]
+            if optimizers[op] is not None:
+                self._step(op, optimizers[op])
+
+    def _run_batch(self, executor: ShardOps, offset: int, rows: int,
+                   rng) -> np.ndarray:
+        """Run one mini-batch through the schedule's rounds.
+
+        Returns the ``(d, g_adv, g_info, g_class, c)`` losses.  When a
         schedule holds several ops of one kind, the last op's loss wins
-        (matching the seed loop, which reported the final generator
-        step's losses).
-
-        The executor tracks two cache-validity flags so the default
-        schedule replays the seed loop's forward sequence exactly:
-
-        * ``fake_fresh`` — the generator's forward caches (and ``fake``)
-          correspond to the current G weights; any ``g`` step invalidates
-          it, and the next consumer pays one ``generator.forward``;
-        * ``stats_fresh`` — the discriminator's forward caches hold this
-          exact ``fake`` batch under the current D weights (the ``stats``
-          refresh just ran), so the first following ``g`` step reuses
-          them instead of a second identical D forward.
+        (matching the seed loop, which reported the final generator step's
+        losses).
         """
-        fake: np.ndarray | None = None
-        fake_fresh = False
-        stats_fresh = False
-        d_loss = c_loss = 0.0
-        adv = info = cls = 0.0
-        profile = self.profile
-        for op in self.schedule.ops:
-            op_t0 = time.perf_counter()
-            if op == "d":
-                if not fake_fresh:
-                    fake = self.generator.forward(z)
-                    fake_fresh = True
-                d_loss = self._update_discriminator(real, fake)
-                stats_fresh = False
-                profile.add("d_step", time.perf_counter() - op_t0)
-            elif op == "c":
-                c_loss = self._update_classifier(real)
-                profile.add("c_step", time.perf_counter() - op_t0)
-            elif op == "stats":
-                if not fake_fresh:
-                    fake = self.generator.forward(z)
-                    fake_fresh = True
-                # EWMA refresh with post-update discriminator features
-                # (Algorithm 2 lines 10-13).  The real pass runs first so
-                # the cached forward state ends on the fake batch, which
-                # the next generator update backpropagates through.
-                self.discriminator.forward(real)
-                self.stats.update_real(
-                    self.discriminator.activation(FEATURE_LAYER)
-                )
-                self.discriminator.forward(fake)
-                self.stats.update_synthetic(
-                    self.discriminator.activation(FEATURE_LAYER)
-                )
-                stats_fresh = True
-                profile.add("stats_refresh", time.perf_counter() - op_t0)
-            else:  # "g"
-                if not fake_fresh:
-                    fake = self.generator.forward(z)
-                adv, info, cls = self._update_generator(
-                    fake, rng, d_forward_cached=stats_fresh
-                )
-                fake_fresh = False
-                stats_fresh = False
-                profile.add("g_step", time.perf_counter() - op_t0)
-        return d_loss, adv, info, cls, c_loss
+        self._latent[...] = self.sample_latent(rows, rng)
+        losses = np.zeros(5)
+        reuse_fake = False
+        for ops in self.schedule.rounds():
+            results = self._compute_round(executor, offset, rows, ops, reuse_fake)
+            self._apply_round(ops, results, rows, losses)
+            if "g" in ops:
+                reuse_fake = False
+            elif "d" in ops or "stats" in ops:
+                reuse_fake = True
+        return losses
 
     # ------------------------------------------------------------------
     def train(self, matrices: np.ndarray, rng=None,
@@ -369,7 +552,7 @@ class TableGanTrainer:
         rng = ensure_rng(rng if rng is not None else config.seed)
 
         # Probe feature width with a tiny forward pass.
-        probe = self.discriminator.forward(matrices[:1], training=False)
+        self.discriminator.forward(matrices[:1], training=False)
         n_features = self.discriminator.activation(FEATURE_LAYER).shape[1]
         self.stats = FeatureStats(n_features, weight=config.ewma_weight)
 
@@ -381,29 +564,27 @@ class TableGanTrainer:
             cursor = checkpointer.restore(self, rng, history, n_rows=n)
             if cursor is not None:
                 start_epoch = cursor.epoch
+        executor = self._open_rounds(matrices, batch)
         for epoch in range(start_epoch, config.epochs):
             if cursor is not None and cursor.perm is not None:
                 # Mid-epoch resume: replay this epoch's shuffle and pick
                 # up at the saved batch offset with the saved loss sums.
                 perm = cursor.perm
-                shuffled = matrices[perm]
                 sums = cursor.sums
                 n_batches = cursor.n_batches
                 first_start = cursor.batch_start
             else:
-                # One shuffled gather per epoch; every mini-batch below is
-                # a zero-copy contiguous view into it.
                 perm = rng.permutation(n)
-                shuffled = matrices[perm]
                 sums = np.zeros(5)
                 n_batches = 0
                 first_start = 0
             cursor = None
+            # One shuffled gather per epoch; every shard's rows are a
+            # zero-copy view into it.
+            np.take(matrices, perm, axis=0, out=self._epoch_rows)
             for start in range(first_start, n - batch + 1, batch):
-                real = shuffled[start : start + batch]
-                z = self.sample_latent(real.shape[0], rng)
-                with trace.span("train.batch", epoch=epoch, rows=real.shape[0]):
-                    sums += self._run_batch(real, z, rng)
+                with trace.span("train.batch", epoch=epoch, rows=batch):
+                    sums += self._run_batch(executor, start, batch, rng)
                 n_batches += 1
                 if checkpointer is not None:
                     checkpointer.on_batch(

@@ -89,11 +89,12 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(num_features, dtype=dtype)
         self.running_var = np.ones(num_features, dtype=dtype)
         #: When set to a list, every training-mode forward appends its
-        #: batch ``(mean, var)`` here instead of being observable only
-        #: through the EWMA.  The data-parallel trainer uses this tap to
-        #: record per-shard statistics events and replay them into one
-        #: canonical running-stats stream in fixed shard order
-        #: (see repro.core.parallel).
+        #: batch ``(mean, var)`` here *instead of* folding it into the
+        #: running statistics.  The data-parallel trainer records each
+        #: shard's events through this tap and replays them into one
+        #: canonical stream in fixed shard order (see repro.core.parallel);
+        #: a throwaway list keeps a forward that only rebuilds caches from
+        #: folding twice (see repro.core.trainer.ShardOps).
         self.stats_tap: list | None = None
         self._cache: tuple | None = None
 
@@ -132,6 +133,12 @@ class BatchNorm(Layer):
     def _update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
         if self.stats_tap is not None:
             self.stats_tap.append((mean.copy(), var.copy()))
+        else:
+            self.fold_running(mean, var)
+
+    def fold_running(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """One EWMA step of the running statistics toward a batch's
+        ``(mean, var)``."""
         self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
         self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
 

@@ -10,13 +10,12 @@ Gauges that mirror live state (queue depth, pooled rows) are refreshed
 by *collectors* — callbacks that run at exposition time so the hot path
 never pays for them.
 
-:class:`LatencyHistogram` lives here (promoted from
-``serve/server/metrics.py``, which re-exports it for compatibility).
-Buckets are log-spaced 0.1 ms → ~2 min plus an overflow bucket, so one
-histogram covers pool hits and multi-second cold loads with ~25 ints of
-state.  Empty histograms are well-behaved: ``summary()`` renders zeros
-(never NaN, never raises) so a routed-but-never-sampled model still
-produces a valid ``/metrics`` row.
+:class:`LatencyHistogram` lives here.  Buckets are log-spaced 0.1 ms →
+~2 min plus an overflow bucket, so one histogram covers pool hits and
+multi-second cold loads with ~25 ints of state.  Empty histograms are
+well-behaved: ``summary()`` renders zeros (never NaN, never raises) so
+a routed-but-never-sampled model still produces a valid ``/metrics``
+row.
 """
 
 import re

@@ -22,14 +22,16 @@ client over HTTP/1.1 — stdlib only, so it runs anywhere the library does:
   served zero-copy by the threaded front end, bit-identical to the
   in-process service;
 * :mod:`~repro.serve.server.client` — :class:`SynthesisClient`: the
-  stdlib client library (and the benchmark's load-generator transport);
-* :mod:`~repro.serve.server.metrics` — :class:`LatencyHistogram` behind
-  ``GET /metrics``.
+  stdlib client library (and the benchmark's load-generator transport).
+
+:class:`LatencyHistogram` (behind ``GET /metrics``) lives in
+:mod:`repro.obs.metrics` and is re-exported here.
 
 CLI: ``python -m repro serve --registry model-registry --port 8000``
 (graceful drain on SIGTERM/SIGINT).
 """
 
+from repro.obs.metrics import LatencyHistogram
 from repro.serve.server.batcher import (
     BatcherClosed,
     BatcherDead,
@@ -49,7 +51,6 @@ from repro.serve.server.client import (
     SynthesisClient,
 )
 from repro.serve.server.http import SynthesisServer
-from repro.serve.server.metrics import LatencyHistogram
 from repro.serve.server.procpool import WorkerPoolError, WorkerPoolService
 from repro.serve.server.router import (
     ModelRouter,

@@ -31,10 +31,10 @@ from collections import OrderedDict
 
 from repro.core.tablegan import TableGAN
 from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import LatencyHistogram
 from repro.serve.quality import STATUS_CODES, QualityMonitor
 from repro.serve.registry import ModelRegistry
 from repro.serve.server.batcher import CoalescingBatcher
-from repro.serve.server.metrics import LatencyHistogram
 from repro.serve.server.procpool import WorkerPoolService
 from repro.serve.service import SynthesisService
 

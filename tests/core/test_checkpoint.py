@@ -1,5 +1,7 @@
 """Crash-safe checkpoints: bit-exact resume, rotation, corruption fallback."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,10 @@ from repro.core.checkpoint import (
 )
 from repro.core.config import low_privacy
 from repro.core.networks import build_discriminator, build_generator
+from repro.core.parallel import ParallelTrainer
 from repro.core.trainer import TableGanTrainer
 from repro.nn import state_dict
+from repro.nn.serialization import atomic_savez
 
 SIDE = 8
 N_ROWS = 64
@@ -31,12 +35,17 @@ def make_matrices():
     return rng.uniform(-1.0, 1.0, size=(N_ROWS, 1, SIDE, SIDE))
 
 
-def make_trainer(config=None):
+def make_trainer(config=None, **parallel):
+    """The serial trainer, or a ParallelTrainer over the same networks when
+    ``parallel`` holds its ``workers``/``grad_shards``."""
     config = config or tiny_config()
     rng = np.random.default_rng(99)
     generator = build_generator(SIDE, config.latent_dim, config.base_channels,
                                 rng)
     discriminator = build_discriminator(SIDE, config.base_channels, rng)
+    if parallel:
+        return ParallelTrainer(generator, discriminator, None, config,
+                               **parallel)
     return TableGanTrainer(generator, discriminator, None, config)
 
 
@@ -219,3 +228,61 @@ class TestGuards:
         checkpointer.request_stop()
         checkpointer.request_stop()
         assert checkpointer.stop_requested
+
+
+class TestSerialIsOneShard:
+    """A serial checkpoint is a one-shard checkpoint: it resumes under
+    ``workers=2, grad_shards=1`` and back, and archives that recorded the
+    serial shard count as 0 still resume."""
+
+    ONE_SHARD = dict(workers=2, grad_shards=1)
+
+    @staticmethod
+    def interrupt(tmp_path, **parallel):
+        checkpointer = TrainerCheckpointer(tmp_path, every_batches=1)
+        stop_after(checkpointer, 5)  # epoch 1, mid-epoch
+        with pytest.raises(TrainingInterrupted):
+            make_trainer(**parallel).train(make_matrices(), rng=TRAIN_SEED,
+                                           checkpointer=checkpointer)
+        return checkpointer
+
+    @staticmethod
+    def resume(tmp_path, baseline, **parallel):
+        expected_weights, expected_losses = baseline
+        resumed = make_trainer(**parallel)
+        history = resumed.train(make_matrices(), rng=TRAIN_SEED,
+                                checkpointer=TrainerCheckpointer(tmp_path))
+        assert_weights_identical(expected_weights, state_dict(resumed.generator))
+        assert [e.d_loss for e in history.epochs] == expected_losses
+
+    def test_serial_fingerprint_records_one_shard(self, tmp_path):
+        checkpointer = self.interrupt(tmp_path)
+        with np.load(checkpointer.latest_path) as archive:
+            saved = json.loads(str(archive["meta.config"][()]))
+        assert saved["grad_shards"] == 1
+
+    def test_serial_checkpoint_resumes_with_one_shard_workers(self, tmp_path,
+                                                              baseline):
+        self.interrupt(tmp_path)
+        self.resume(tmp_path, baseline, **self.ONE_SHARD)
+
+    def test_one_shard_checkpoint_resumes_serially(self, tmp_path, baseline):
+        self.interrupt(tmp_path, **self.ONE_SHARD)
+        self.resume(tmp_path, baseline)
+
+    def test_zero_shard_archive_resumes_serially(self, tmp_path, baseline):
+        checkpointer = self.interrupt(tmp_path)
+        with np.load(checkpointer.latest_path) as archive:
+            payload = {key: archive[key] for key in archive.files}
+        config = json.loads(str(payload["meta.config"][()]))
+        config["grad_shards"] = 0
+        payload["meta.config"] = np.array(json.dumps(config, sort_keys=True))
+        atomic_savez(checkpointer.latest_path, **payload)
+        self.resume(tmp_path, baseline)
+
+    def test_serial_checkpoint_refused_at_four_shards(self, tmp_path):
+        self.interrupt(tmp_path)
+        with pytest.raises(CheckpointError, match="different training config"):
+            make_trainer(workers=1, grad_shards=4).train(
+                make_matrices(), rng=TRAIN_SEED,
+                checkpointer=TrainerCheckpointer(tmp_path))

@@ -9,10 +9,12 @@ and the loss history must be bit-identical for every N.
 
 import os
 import signal
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+from repro import TableGAN, low_privacy
 from repro.core.checkpoint import TrainerCheckpointer, TrainingInterrupted
 from repro.core.config import TableGanConfig
 from repro.core.networks import build_classifier, build_discriminator, build_generator
@@ -20,8 +22,9 @@ from repro.core.parallel import (
     ParallelTrainer,
     ParallelTrainingError,
     _ShardExecutor,
-    shard_bounds,
 )
+from repro.core.trainer import TableGanTrainer, shard_bounds
+from repro.data.datasets import load_dataset
 from repro.nn import Sequential, state_dict
 from repro.nn.flatbuf import FlatParameterBuffer
 from repro.nn.layers import Dense
@@ -44,25 +47,29 @@ def tiny_config(**overrides):
 
 
 def make_trainer(workers, config=None, grad_shards=4, with_classifier=True,
-                 **trainer_kwargs):
+                 side=SIDE, serial=False, **trainer_kwargs):
+    """A ParallelTrainer, or with ``serial=True`` the TableGanTrainer over
+    the same networks."""
     config = config or tiny_config()
     dtype = config.np_dtype
-    gen = build_generator(SIDE, config.latent_dim, config.base_channels,
+    gen = build_generator(side, config.latent_dim, config.base_channels,
                           rng=0, dtype=dtype)
-    disc = build_discriminator(SIDE, config.base_channels, rng=1, dtype=dtype)
-    clf = (build_classifier(SIDE, config.base_channels, rng=2, dtype=dtype)
+    disc = build_discriminator(side, config.base_channels, rng=1, dtype=dtype)
+    clf = (build_classifier(side, config.base_channels, rng=2, dtype=dtype)
            if with_classifier else None)
     cfg = config if with_classifier else config.with_overrides(use_classifier=False)
+    label_cell = (0, 3) if with_classifier else None
+    if serial:
+        return TableGanTrainer(gen, disc, clf, cfg, label_cell=label_cell)
     return ParallelTrainer(
-        gen, disc, clf, cfg,
-        label_cell=(0, 3) if with_classifier else None,
+        gen, disc, clf, cfg, label_cell=label_cell,
         workers=workers, grad_shards=grad_shards, **trainer_kwargs,
     )
 
 
-def make_matrices(n=64):
+def make_matrices(n=64, side=SIDE):
     rng = np.random.default_rng(DATA_SEED)
-    mats = rng.uniform(-0.5, 0.5, (n, 1, SIDE, SIDE))
+    mats = rng.uniform(-0.5, 0.5, (n, 1, side, side))
     mats[:, 0, 0, 3] = np.sign(mats[:, 0, 0, 0])
     return mats
 
@@ -87,10 +94,21 @@ def assert_state_identical(expected, actual):
         assert np.array_equal(expected[key], actual[key]), key
 
 
-def run_training(workers, config=None, **kwargs):
-    trainer = make_trainer(workers, config=config, **kwargs)
-    history = trainer.train(make_matrices(), rng=TRAIN_SEED)
+def run_training(workers, config=None, side=SIDE, **kwargs):
+    trainer = make_trainer(workers, config=config, side=side, **kwargs)
+    history = trainer.train(make_matrices(side=side), rng=TRAIN_SEED)
     return trainer, history
+
+
+#: Side 8 gives D BatchNorm layers, and two G steps per batch make the
+#: first ``g`` round reuse the ``stats`` round's caches: a process that owns
+#: several shards must rebuild them without folding BatchNorm twice.  The
+#: side-4, one-G-step ``tiny_config`` exercises neither.
+REBUILD_SIDE = 8
+
+
+def rebuild_config(dtype):
+    return tiny_config(generator_updates=2, dtype=dtype)
 
 
 class TestShardBounds:
@@ -273,10 +291,85 @@ class TestWorkerCountInvariance:
         assert_state_identical(full_state(base_trainer), full_state(trainer))
         assert history.epochs == base_history.epochs
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_cache_rebuilds_bit_identical(self, workers, dtype):
+        """A process that owns several shards rebuilds their G and D
+        caches in the first ``g`` round of each batch; four processes
+        owning one shard each never do.  All must fold the same BatchNorm
+        events."""
+        config = rebuild_config(dtype)
+        base, base_history = run_training(1, config=config, side=REBUILD_SIDE)
+        trainer, history = run_training(workers, config=config,
+                                        side=REBUILD_SIDE)
+        assert_state_identical(full_state(base), full_state(trainer))
+        assert history.epochs == base_history.epochs
+
     def test_worker_pids_lifecycle(self):
         trainer, _ = run_training(2, config=tiny_config(epochs=1))
         # Children are reaped on the way out of train().
         assert trainer.worker_pids == []
+
+
+class TestSerialIsOneShard:
+    """``TableGanTrainer`` is ``ParallelTrainer(workers=1, grad_shards=1)``:
+    every weight, G and D BatchNorm running statistic, EWMA statistic and
+    loss comes out bit-identical."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_serial_equals_one_shard(self, dtype):
+        config = rebuild_config(dtype)
+        serial, serial_history = run_training(None, config=config,
+                                              side=REBUILD_SIDE, serial=True)
+        sharded, history = run_training(1, config=config, side=REBUILD_SIDE,
+                                        grad_shards=1)
+        expected = full_state(serial)
+        assert any(key.startswith("d/x.") for key in expected), (
+            "the fixture no longer gives D BatchNorm running statistics")
+        assert_state_identical(expected, full_state(sharded))
+        assert history.epochs == serial_history.epochs
+        assert history.final_l_mean == serial_history.final_l_mean
+        assert history.final_l_sd == serial_history.final_l_sd
+
+
+class TestSharedMemoryUse:
+    """Only a run that forks workers allocates shared memory."""
+
+    @staticmethod
+    def fit(workers, monkeypatch):
+        """Fit a tiny table; return the segments created and the ones
+        listed under /dev/shm at each epoch end."""
+        created, listed = [], []
+        real = shared_memory.SharedMemory
+
+        def recording(*args, **kwargs):
+            segment = real(*args, **kwargs)
+            created.append(segment.name)
+            return segment
+
+        def list_segments(epoch, losses):
+            if os.path.isdir("/dev/shm"):
+                listed.extend(name for name in os.listdir("/dev/shm")
+                              if name.startswith(f"rgrad{os.getpid()}_"))
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", recording)
+        table = load_dataset("adult", rows=96, seed=0).train
+        TableGAN(low_privacy(epochs=2, batch_size=16, base_channels=4,
+                             seed=0)).fit(table, on_epoch_end=list_segments,
+                                          workers=workers)
+        return created, listed
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_one_process_creates_no_segment(self, workers, monkeypatch):
+        assert self.fit(workers, monkeypatch) == ([], [])
+
+    @pytest.mark.mp
+    def test_workers_share_segments_and_release_them(self, monkeypatch):
+        created, listed = self.fit(2, monkeypatch)
+        assert created
+        if os.path.isdir("/dev/shm"):
+            assert listed
+            assert not set(created) & set(os.listdir("/dev/shm"))
 
 
 @pytest.mark.mp

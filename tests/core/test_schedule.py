@@ -5,20 +5,19 @@ Two layers of pinning:
 * structural — ``for_counts``/``from_config`` build the documented op
   tuples and ``rounds()`` derives the data-parallel synchronization
   grouping;
-* behavioural — a recording trainer asserts the executor dispatches the
-  exact op sequence for several (d_steps, g_steps, epochs, batches)
-  configurations, and the refactored schedule-driven executor replays the
-  seed interleave bit-exactly by default.
+* behavioural — a recorder on the op methods asserts the executor
+  dispatches the exact op sequence for several (d_steps, g_steps,
+  epochs, batches) configurations, and the refactored schedule-driven
+  executor replays the seed interleave bit-exactly by default.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.config import TableGanConfig
-from repro.core.losses import FeatureStats
 from repro.core.networks import build_classifier, build_discriminator, build_generator
 from repro.core.schedule import OPS, UpdateSchedule
-from repro.core.trainer import TableGanTrainer
+from repro.core.trainer import ShardOps, TableGanTrainer
 from repro.nn import state_dict
 
 
@@ -31,15 +30,14 @@ def tiny_config(**overrides):
     return TableGanConfig(**defaults)
 
 
-def make_trainer(config, schedule=None, with_classifier=True,
-                 cls=TableGanTrainer):
+def make_trainer(config, schedule=None, with_classifier=True):
     gen = build_generator(4, config.latent_dim, config.base_channels, rng=0)
     disc = build_discriminator(4, config.base_channels, rng=1)
     clf = build_classifier(4, config.base_channels, rng=2) if with_classifier else None
     cfg = config if with_classifier else config.with_overrides(use_classifier=False)
-    return cls(gen, disc, clf, cfg,
-               label_cell=(0, 3) if with_classifier else None,
-               schedule=schedule)
+    return TableGanTrainer(gen, disc, clf, cfg,
+                           label_cell=(0, 3) if with_classifier else None,
+                           schedule=schedule)
 
 
 def toy_matrices(n=32, side=4, seed=5):
@@ -126,25 +124,32 @@ class TestRounds:
             assert flattened == schedule.ops
 
 
-class RecordingTrainer(TableGanTrainer):
-    """Real compute, but every dispatched op appends to ``self.calls``."""
+class OpRecorder:
+    """Every op the executor dispatches, in order, around real compute."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.calls = []
+    def __init__(self):
+        self.calls = []        # the d / c / g ops
+        self.stats_calls = []  # len(calls) when each stats refresh ran
 
-    def _update_discriminator(self, real, fake):
-        self.calls.append("d")
-        return super()._update_discriminator(real, fake)
 
-    def _update_classifier(self, real):
-        self.calls.append("c")
-        return super()._update_classifier(real)
+@pytest.fixture()
+def recorder(monkeypatch):
+    record = OpRecorder()
 
-    def _update_generator(self, fake, rng, d_forward_cached=False):
-        self.calls.append("g")
-        return super()._update_generator(fake, rng,
-                                         d_forward_cached=d_forward_cached)
+    def recording(op, original):
+        def hooked(self, *args):
+            if op == "stats":
+                record.stats_calls.append(len(record.calls))
+            else:
+                record.calls.append(op)
+            return original(self, *args)
+        return hooked
+
+    for op in OPS:
+        name = f"_op_{op}"
+        monkeypatch.setattr(ShardOps, name,
+                            recording(op, getattr(ShardOps, name)))
+    return record
 
 
 class TestExecutorDispatch:
@@ -156,47 +161,37 @@ class TestExecutorDispatch:
         (2, 2, 2, 32),   # d_iters > 1 across epochs
     ])
     def test_exact_sequence(self, d_steps, g_steps, epochs, n_rows,
-                            monkeypatch):
+                            recorder):
         config = tiny_config(epochs=epochs)
         schedule = UpdateSchedule.for_counts(d_steps=d_steps, g_steps=g_steps)
-        trainer = make_trainer(config, schedule=schedule, cls=RecordingTrainer)
-        stats_calls = []
-        original = FeatureStats.update_real
-
-        def recording_update(self, features):
-            stats_calls.append(len(trainer.calls))
-            return original(self, features)
-
-        monkeypatch.setattr(FeatureStats, "update_real", recording_update)
+        trainer = make_trainer(config, schedule=schedule)
         trainer.train(toy_matrices(n=n_rows), rng=3)
 
         n_batches = epochs * (n_rows // config.batch_size)
         per_batch = ["d"] * d_steps + ["c"] + ["g"] * g_steps
-        assert trainer.calls == per_batch * n_batches
+        assert recorder.calls == per_batch * n_batches
         # One statistics refresh per batch, dispatched after the d/c block
         # (d_steps + 1 recorded calls into each batch).
         per_batch_len = len(per_batch)
-        assert stats_calls == [
+        assert recorder.stats_calls == [
             batch * per_batch_len + d_steps + 1 for batch in range(n_batches)
         ]
 
-    def test_classifier_disabled_skips_c_compute(self):
+    def test_classifier_disabled_skips_c_compute(self, recorder):
         config = tiny_config(use_classifier=False)
-        trainer = make_trainer(config, with_classifier=False,
-                               cls=RecordingTrainer)
+        trainer = make_trainer(config, with_classifier=False)
         trainer.train(toy_matrices(), rng=3)
         # "c" ops still dispatch (the schedule keeps its shape) but the
         # update is the documented no-op.
-        assert trainer.calls.count("c") == trainer.calls.count("d")
+        assert recorder.calls.count("c") == recorder.calls.count("d")
 
-    def test_custom_schedule_changes_dispatch(self):
+    def test_custom_schedule_changes_dispatch(self, recorder):
         config = tiny_config()
         trainer = make_trainer(
             config, schedule=UpdateSchedule(("g", "d", "c")),
-            cls=RecordingTrainer,
         )
         trainer.train(toy_matrices(n=16), rng=3)
-        assert trainer.calls == ["g", "d", "c"]
+        assert recorder.calls == ["g", "d", "c"]
 
 
 class TestSeedReplay:

@@ -44,7 +44,10 @@ def _submit_in_order(batcher, specs):
 
     Each submission runs in its own thread (submit blocks until served);
     the next is released only once the previous is visibly queued, so
-    admission order is deterministic.  Returns (threads, results dict).
+    admission order is deterministic.  ``queue_depth`` already counts the
+    blocking stream, so each wait is relative to the depth on entry; the
+    helper returns only after the last spec is queued too.  Returns
+    (threads, results dict).
     """
     results = {}
     lock = threading.Lock()
@@ -55,7 +58,8 @@ def _submit_in_order(batcher, specs):
             results[tag] = (offset, len(values))
 
     threads = []
-    for depth, (tag, n, priority, client) in enumerate(specs, start=1):
+    base = batcher.queue_depth
+    for depth, (tag, n, priority, client) in enumerate(specs, start=base + 1):
         thread = threading.Thread(target=submit,
                                   args=(tag, n, priority, client))
         thread.start()
