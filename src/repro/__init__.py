@@ -29,15 +29,14 @@ from repro.core import (
     low_privacy,
     mid_privacy,
 )
-from repro.serve import (
-    CsvSink,
-    ModelRegistry,
-    NpzSink,
-    ShardedSampler,
-    SynthesisService,
-)
 
 __version__ = "1.0.0"
+
+#: Names resolved from :mod:`repro.serve` on first access (PEP 562), so
+#: that training imports no HTTP, TLS or multiprocessing modules.
+_SERVE_NAMES = frozenset(
+    {"CsvSink", "ModelRegistry", "NpzSink", "ShardedSampler", "SynthesisService"}
+)
 
 __all__ = [
     "TableGAN",
@@ -54,3 +53,11 @@ __all__ = [
     "NpzSink",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SERVE_NAMES:
+        import repro.serve
+
+        return getattr(repro.serve, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

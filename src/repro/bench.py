@@ -1001,8 +1001,8 @@ def run_benchmarks(repeats: int = 5, fit_repeats: int = 2,
         # and runs once.
         repeats = min(repeats, 5)
         fit_repeats = 1
-    # Honest cold start: drop both the memoized index plans and the
-    # engine's shared scratch pool before timing.
+    # Honest cold start: drop both the memoized index plans and this
+    # thread's engine scratch pool before timing.
     clear_plan_cache()
     clear_workspaces()
     report = {"workload": dict(workload), "quick": quick}

@@ -30,7 +30,6 @@ from repro.core.networks import (
     build_generator_1d,
     feature_width,
 )
-from repro.core.parallel import ParallelTrainer, ParallelTrainingError
 from repro.core.sampler import RecordSampler
 from repro.core.schedule import UpdateSchedule
 from repro.core.tablegan import TableGAN
@@ -74,3 +73,13 @@ __all__ = [
     "feature_width",
     "FEATURE_LAYER",
 ]
+
+
+def __getattr__(name: str):
+    # The data-parallel trainer pulls in multiprocessing and shared memory;
+    # resolve it on first access (PEP 562) so serial training does not.
+    if name in ("ParallelTrainer", "ParallelTrainingError"):
+        from repro.core import parallel
+
+        return getattr(parallel, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,34 +33,45 @@ class LeakyReLU(Layer):
     """Leaky rectifier, ``x if x > 0 else alpha * x`` (default alpha 0.2).
 
     The cached state is a boolean bitmask (1 byte per element) instead of a
-    full-size floating scale array; forward and backward scale everything by
-    alpha and then overwrite the positive entries in place.  The retained
-    scale-array idiom (``_reference_forward``/``_reference_backward``) is the
-    oracle the bitmask path is tested bit-identical against.
+    full-size floating scale array.  Forward and backward rebuild the scale
+    ``s`` (1 where the mask is set, alpha elsewhere) from the mask
+    arithmetically and multiply by it.  Neither uses a masked copy: at the
+    training shapes ``copyto(where=mask)`` ran ~20x slower.  The retained
+    scale-array idiom (``_reference_forward``/``_reference_backward``) is
+    the oracle both are tested bit-identical against.
     """
 
     def __init__(self, alpha: float = 0.2):
         super().__init__()
-        if alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {alpha}")
+        if not 0 <= alpha < np.inf:
+            raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
         self.alpha = alpha
         self._mask: np.ndarray | None = None
 
     def _alpha_for(self, dtype: np.dtype):
         return dtype.type(self.alpha) if np.issubdtype(dtype, np.floating) else self.alpha
 
+    def _scale(self, dtype: np.dtype) -> np.ndarray:
+        """The oracle's scale array, built exactly from the mask.
+
+        ``alpha * ~mask + mask`` is ``alpha * 0 + 1`` where the mask is set
+        and ``alpha * 1 + 0`` elsewhere, exact for every finite alpha.
+        """
+        alpha = self._alpha_for(dtype)
+        s = np.multiply(~self._mask, alpha, dtype=np.result_type(dtype, alpha))
+        s += self._mask
+        return s
+
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         self._mask = x > 0
-        out = np.multiply(x, self._alpha_for(x.dtype))
-        np.copyto(out, x, where=self._mask)
-        return out
+        s = self._scale(x.dtype)
+        return np.multiply(x, s, out=s)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        dx = np.multiply(grad, self._alpha_for(grad.dtype))
-        np.copyto(dx, grad, where=self._mask)
-        return dx
+        s = self._scale(grad.dtype)
+        return np.multiply(grad, s, out=s)
 
     # Reference oracle: the full-size scale-array idiom, retained for the
     # fast==reference equivalence tests in ``tests/nn/test_activations.py``.

@@ -16,7 +16,8 @@ convention of :mod:`repro.nn.im2col`:
   activations; a centered two-pass in float64 that reuses the centering
   buffer as the normalized-activation cache and is bit-identical to
   ``np.var``) and
-  writes the scale-and-shift through in-place ufuncs; the backward folds
+  writes the scale-and-shift through in-place ufuncs over the flat
+  ``(N, C*P)`` view (:meth:`BatchNorm._per_channel`); the backward folds
   the two re-reductions of the chain rule into the ``dgamma``/``dbeta``
   sums it already computes (float32) or replays the reference reductions
   through reused buffers (float64, bit-identical);
@@ -31,6 +32,7 @@ convention of :mod:`repro.nn.im2col`:
 from __future__ import annotations
 
 from contextlib import contextmanager
+from math import prod
 
 import numpy as np
 
@@ -39,6 +41,11 @@ from repro.nn.layers import Layer, Parameter, channel_sum
 
 #: When True, BatchNorm.forward/backward dispatch to the reference oracle.
 _USE_REFERENCE = False
+
+#: Smallest tensor whose per-channel ops run over the flat ``(N, C*P)``
+#: view: below it the whole broadcast op takes a few microseconds, less
+#: than repeating the vector and reshaping for the flat one costs.
+_FLAT_MIN_ELEMENTS = 4096
 
 
 @contextmanager
@@ -130,6 +137,32 @@ class BatchNorm(Layer):
             return stat.reshape(1, -1, 1)
         return stat.reshape(1, -1, 1, 1)
 
+    @staticmethod
+    def _per_channel(op, t: np.ndarray, stat: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """``op(t, stat)`` with the per-channel vector ``stat`` broadcast
+        along ``t``'s channel axis; returns an array of ``t``'s shape.
+
+        A contiguous ``(N, C, *spatial)`` tensor runs over its flat
+        ``(N, C*P)`` view against ``stat`` repeated P times: the same
+        elementwise operation on the same operands, so bit-identical, but
+        with a C*P-long inner loop where a ``(1, C, 1, 1)`` view gives one
+        only P long (4 or 16 at the training shapes).  Strided tensors
+        keep the broadcast view: reshaping them would copy, and a copy's
+        layout could change the order the float64 reductions sum in.
+        Tensors under ``_FLAT_MIN_ELEMENTS`` keep it too.
+        """
+        if (t.ndim > 2 and t.size >= _FLAT_MIN_ELEMENTS
+                and t.flags.c_contiguous
+                and (out is None or out.flags.c_contiguous)):
+            n, channels = t.shape[:2]
+            per = prod(t.shape[2:])
+            flat = (n, channels * per)
+            res = op(t.reshape(flat), stat.repeat(per),
+                     out=None if out is None else out.reshape(flat))
+            return res.reshape(t.shape)
+        return op(t, BatchNorm._bcast(stat, t.ndim), out=out)
+
     def _update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
         if self.stats_tap is not None:
             self.stats_tap.append((mean.copy(), var.copy()))
@@ -175,7 +208,7 @@ class BatchNorm(Layer):
                 # Two-pass over a centered buffer: the subtraction is the
                 # one the normalization needs anyway, and summing the
                 # squared centered values reproduces np.var bit for bit.
-                x_hat = x - self._bcast(mean, x.ndim)
+                x_hat = self._per_channel(np.subtract, x, mean)
                 scratch = np.multiply(x_hat, x_hat)
                 var = scratch.sum(axis=axes) / count
             else:
@@ -187,25 +220,25 @@ class BatchNorm(Layer):
                 scratch = np.multiply(x, x)
                 var = channel_sum(scratch) / count - mean * mean
                 np.maximum(var, 0.0, out=var)
-                x_hat = np.subtract(x, self._bcast(mean, x.ndim))
+                x_hat = self._per_channel(np.subtract, x, mean)
             self._update_running(mean, var)
         else:
             mean, var = self.running_mean, self.running_var
-            x_hat = np.subtract(x, self._bcast(mean, x.ndim))
+            x_hat = self._per_channel(np.subtract, x, mean)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        np.multiply(x_hat, self._bcast(inv_std, x.ndim), out=x_hat)
+        self._per_channel(np.multiply, x_hat, inv_std, out=x_hat)
         # The squared-values buffer has served its purpose; reuse it as the
         # output so the scale-and-shift allocates nothing new.
         out = scratch if scratch is not None else np.empty_like(x_hat)
-        np.multiply(x_hat, self._bcast(self.gamma.data, x.ndim), out=out)
-        np.add(out, self._bcast(self.beta.data, x.ndim), out=out)
+        self._per_channel(np.multiply, x_hat, self.gamma.data, out=out)
+        self._per_channel(np.add, out, self.beta.data, out=out)
         self._cache = (x_hat, inv_std, axes, count, x.ndim, training)
         return out
 
     def _fused_backward(self, grad: np.ndarray) -> np.ndarray:
-        x_hat, inv_std, axes, count, ndim, trained = self._cache
+        x_hat, inv_std, axes, count, _, trained = self._cache
         if x_hat.dtype == np.float64:
-            return self._fused_backward_exact(grad, x_hat, inv_std, axes, ndim,
+            return self._fused_backward_exact(grad, x_hat, inv_std, axes,
                                               trained)
         # float32: fold the two chain-rule re-reductions into the
         # dgamma/dbeta sums.  mean(gamma·grad) == gamma·dbeta/count and
@@ -220,32 +253,32 @@ class BatchNorm(Layer):
         c1 = self.gamma.data * inv_std
         if not trained:
             # Inference mode: mean/var are constants, gradient is a plain scale.
-            return grad * self._bcast(c1, ndim)
+            return self._per_channel(np.multiply, grad, c1)
         c2 = -c1 * (dgamma / count)
         c0 = -c1 * (dbeta / count)
-        dx = np.multiply(grad, self._bcast(c1, ndim))
-        np.multiply(x_hat, self._bcast(c2, ndim), out=prod)
+        dx = self._per_channel(np.multiply, grad, c1)
+        self._per_channel(np.multiply, x_hat, c2, out=prod)
         np.add(dx, prod, out=dx)
-        np.add(dx, self._bcast(c0, ndim), out=dx)
+        self._per_channel(np.add, dx, c0, out=dx)
         return dx
 
-    def _fused_backward_exact(self, grad, x_hat, inv_std, axes, ndim, trained):
+    def _fused_backward_exact(self, grad, x_hat, inv_std, axes, trained):
         """float64 backward: the reference operation sequence replayed
         through two reused buffers — bit-identical, no further temporaries."""
         t = np.multiply(grad, x_hat)
         self.gamma.grad += t.sum(axis=axes)
         self.beta.grad += grad.sum(axis=axes)
-        g = np.multiply(grad, self._bcast(self.gamma.data, ndim))
+        g = self._per_channel(np.multiply, grad, self.gamma.data)
         if not trained:
-            np.multiply(g, self._bcast(inv_std, ndim), out=g)
+            self._per_channel(np.multiply, g, inv_std, out=g)
             return g
-        mean_g = g.mean(axis=axes, keepdims=True)
+        mean_g = g.mean(axis=axes)
         np.multiply(g, x_hat, out=t)
-        mean_gx = t.mean(axis=axes, keepdims=True)
-        np.multiply(x_hat, mean_gx, out=t)
-        np.subtract(g, mean_g, out=g)
+        mean_gx = t.mean(axis=axes)
+        self._per_channel(np.multiply, x_hat, mean_gx, out=t)
+        self._per_channel(np.subtract, g, mean_g, out=g)
         np.subtract(g, t, out=g)
-        np.multiply(g, self._bcast(inv_std, ndim), out=g)
+        self._per_channel(np.multiply, g, inv_std, out=g)
         return g
 
     # ------------------------------------------------------------------

@@ -18,8 +18,8 @@ views:
   ``x.reshape(N, C_in, P)`` (exposed as ``_x_mat``) through the kernel.
 
 Both layers run blocked: every forward/backward loops over batch blocks
-sized by the plan's workspace budget, through the engine's shared scratch
-pool, so large batches no longer fall out of cache.  Inference forwards
+sized by the plan's workspace budget, through the calling thread's engine
+scratch pool, so large batches no longer fall out of cache.  Inference forwards
 (``training=False``) stream and cache nothing;
 a backward therefore requires the preceding forward to have run in
 training mode.  Conv outputs are written contiguously (NCHW), which lets

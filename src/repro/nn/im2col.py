@@ -25,9 +25,9 @@ equivalence tests and the dispatch wrapper use.
 **Blocked/streamed execution.**  All engine entry points loop over batch
 blocks of :meth:`ConvPlan.batch_block` records — sized so one block's
 patch matrix fits the workspace budget
-(:func:`repro.nn.plan.workspace_budget`) — through one shared, persistent
-scratch pool (gather/pack/GEMM/scatter buffers, reused across blocks,
-calls, and layers).  Large-batch generator forwards therefore no longer
+(:func:`repro.nn.plan.workspace_budget`) — through the calling thread's
+persistent scratch pool (gather/pack/GEMM/scatter buffers, reused across
+blocks, calls, and layers).  Large-batch generator forwards therefore no longer
 fall out of cache: throughput at 4096-row batches matches the few-hundred
 row sweet spot of the monolithic engine.  Inside a block the engine
 stores the patch matrix *transposed*, ``(rows, P*b)`` with
@@ -45,16 +45,16 @@ Two implementations live here:
   block, no index arrays) and a two-way scatter over the memoized
   :class:`~repro.nn.plan.ConvPlan`: a single fancy-index assignment per
   block when ``stride >= kernel`` makes the windows non-overlapping, and
-  a per-kernel-offset strided accumulation for overlapping windows whose
-  reads are fully contiguous in the transposed block.  The plan's
-  **parity groups** (offsets ``m*stride + rho``, grouped by ``m``, have
-  pairwise disjoint targets within a group) let group 0 *assign* the
-  leading ``stride*out`` subgrid instead of read-modify-writing it, so
-  only a trailing border of the padded buffer is ever zeroed.  Offsets
-  are visited in ascending order, so every output cell accumulates its
-  overlapping contributions in ascending kernel-offset order — the same
-  per-cell order as the reference ``np.add.at`` — making results
-  bit-identical to the oracle in every dtype;
+  a strided accumulation for overlapping windows, one pass per parity
+  group.  The plan's **parity groups** (offsets ``m*stride + rho``,
+  grouped by ``m``, have pairwise disjoint targets within a group) let
+  group 0 *assign* the leading ``stride*out`` subgrid instead of
+  read-modify-writing it, so only a trailing border of the padded buffer
+  is ever zeroed.  Groups are visited in ascending order, so every
+  output cell accumulates its overlapping contributions in ascending
+  kernel-offset order — the same per-cell order as the reference
+  ``np.add.at`` — making results bit-identical to the oracle in every
+  dtype;
 * the **reference oracle** — the original fancy-index gather and
   ``np.add.at`` scatter, retained verbatim as ``_reference_*`` functions
   in the seed's position-major column order, used by the equivalence
@@ -73,6 +73,8 @@ workloads.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from contextlib import contextmanager
 from math import prod
 
@@ -156,17 +158,28 @@ def cols_from_reference(ref_cols: np.ndarray, batch: int) -> np.ndarray:
 # Workspaces and padding.
 # ----------------------------------------------------------------------
 
-#: Shared scratch pool for the blocked engine.  One set of block-sized
-#: buffers serves every conv layer (they run one at a time), so the hot
-#: working set stays a few cache-resident arrays instead of one persistent
-#: workspace per layer.  Single-threaded by design, like the layers' own
-#: forward caches.
-_WORKSPACES: dict = {}
+#: Per-thread scratch for the blocked engine.  Within a thread one set of
+#: block-sized buffers serves every conv layer (they run one at a time), so
+#: the hot working set stays a few cache-resident arrays instead of one
+#: persistent workspace per layer.  Each thread has its own set: the
+#: threaded serving tier runs every model's generator on that model's own
+#: batcher thread, and two generators sharing one block buffer overwrote
+#: each other's blocks.
+_LOCAL = threading.local()
+
+
+def _scratch() -> tuple[dict, weakref.WeakKeyDictionary]:
+    """The calling thread's ``(named buffers, padded windows per plan)``."""
+    try:
+        return _LOCAL.scratch
+    except AttributeError:
+        _LOCAL.scratch = ({}, weakref.WeakKeyDictionary())
+        return _LOCAL.scratch
 
 
 def clear_workspaces() -> None:
-    """Drop the engine's shared scratch buffers (benchmark cold starts)."""
-    _WORKSPACES.clear()
+    """Drop the calling thread's scratch buffers (benchmark cold starts)."""
+    _LOCAL.__dict__.pop("scratch", None)
 
 
 def _ws(ws: dict | None, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -174,10 +187,10 @@ def _ws(ws: dict | None, name: str, shape: tuple[int, ...], dtype) -> np.ndarray
 
     Buffers are kept flat and sliced, so one buffer serves both full and
     partial (tail) blocks; they persist across blocks, calls, and layers
-    (``ws=None`` selects the shared module pool).
+    (``ws=None`` selects the calling thread's pool).
     """
     if ws is None:
-        ws = _WORKSPACES
+        ws = _scratch()[0]
     size = prod(shape)
     buf = ws.get(name)
     if buf is None or buf.dtype != dtype or buf.size < size:
@@ -193,23 +206,28 @@ def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x, width, mode="constant")
 
 
-def _pad_spatial_fast(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the spatial axes of ``x`` via one allocation and one copy.
+def _padded_windows(plan: ConvPlan, b: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``(core, windows)`` of the plan's padded block buffer, for ``b`` records.
 
-    Bit-identical to :func:`_pad_spatial` (``np.pad`` with constant zeros)
-    but without np.pad's per-axis python machinery — the padded buffer is
-    on the hottest path of every convolution forward.
+    Each (plan, dtype) owns one zero-padded buffer per thread, sized to the
+    largest block seen.  Its padding ring is zeroed once, at allocation;
+    callers overwrite only the ``core`` (the unpadded interior), so the
+    ring stays zero.  The strided window view ``(b, C, *out, k[, k])`` is
+    built once per buffer and sliced per block.  The buffers hang off the
+    plan weakly, so the plan LRU bounds their memory.
     """
-    if padding <= 0:
-        return x
-    out = np.zeros(
-        x.shape[:2] + tuple(s + 2 * padding for s in x.shape[2:]), dtype=x.dtype
-    )
-    core = (slice(None), slice(None)) + tuple(
-        slice(padding, padding + s) for s in x.shape[2:]
-    )
-    out[core] = x
-    return out
+    per_plan = _scratch()[1].setdefault(plan, {})
+    entry = per_plan.get(dtype)
+    if entry is None or entry[0].shape[0] < b:
+        pad = np.zeros((b, plan.channels, *plan.padded_spatial), dtype)
+        spatial_axes = tuple(range(2, pad.ndim))
+        windows = sliding_window_view(
+            pad, (plan.kernel,) * len(spatial_axes), axis=spatial_axes
+        )[(slice(None), slice(None)) + (slice(None, None, plan.stride),)
+          * len(spatial_axes)]
+        entry = per_plan[dtype] = (pad[plan.unpad_slices], windows)
+    core, windows = entry
+    return core[:b], windows[:b]
 
 
 # ----------------------------------------------------------------------
@@ -217,14 +235,13 @@ def _pad_spatial_fast(x: np.ndarray, padding: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _gather_block(x: np.ndarray, plan: ConvPlan, start: int, stop: int,
-                  out2: np.ndarray, ws: dict) -> None:
+                  out2: np.ndarray) -> None:
     """Unfold items ``[start, stop)`` of ``x`` into ``out2`` ((b*P, rows)).
 
     The single data copy per block is the strided write of the
-    window view into ``out2``; padding goes through a reused workspace
-    buffer so no full-batch padded copy is ever materialized.
+    window view into ``out2``.
     """
-    windows = _windows_block(x, plan, start, stop, ws)
+    windows = _windows_block(x, plan, start, stop)
     b = stop - start
     kernel = plan.kernel
     if x.ndim == 4:
@@ -235,32 +252,18 @@ def _gather_block(x: np.ndarray, plan: ConvPlan, start: int, stop: int,
         np.copyto(view, windows.transpose(0, 2, 1, 3))
 
 
-def _windows_block(x: np.ndarray, plan: ConvPlan, start: int, stop: int,
-                   ws: dict):
+def _windows_block(x: np.ndarray, plan: ConvPlan, start: int, stop: int):
     """Strided window view over items ``[start, stop)`` of ``x``.
 
-    Returns ``(b, C, *out, k[, k])``.  Padding goes through a reused
-    workspace buffer, so no full-batch padded copy is ever materialized.
+    Returns ``(b, C, *out, k[, k])``.  Padding goes through the plan's own
+    padded buffer (:func:`_padded_windows`), so no full-batch padded copy
+    is ever materialized and no call re-zeroes a ring or rebuilds a view.
     """
     xb = x[start:stop]
     if plan.padding:
-        pad = _ws(ws, "pad",
-                  (stop - start, plan.channels, *plan.padded_spatial), x.dtype)
-        # Zero only the padding ring; the core is overwritten right after.
-        p = plan.padding
-        if len(plan.spatial) == 2:
-            pad[:, :, :p, :] = 0
-            pad[:, :, p + plan.spatial[0]:, :] = 0
-            pad[:, :, p: p + plan.spatial[0], :p] = 0
-            pad[:, :, p: p + plan.spatial[0], p + plan.spatial[1]:] = 0
-        else:
-            pad[:, :, :p] = 0
-            pad[:, :, p + plan.spatial[0]:] = 0
-        core = (slice(None), slice(None)) + tuple(
-            slice(p, p + s) for s in plan.spatial
-        )
-        pad[core] = xb
-        xb = pad
+        core, windows = _padded_windows(plan, stop - start, x.dtype)
+        core[...] = xb
+        return windows
     kernel, stride = plan.kernel, plan.stride
     if x.ndim == 4:
         return sliding_window_view(
@@ -270,7 +273,7 @@ def _windows_block(x: np.ndarray, plan: ConvPlan, start: int, stop: int,
 
 
 def _gather_block_t(x: np.ndarray, plan: ConvPlan, start: int, stop: int,
-                    cols_t: np.ndarray, ws: dict) -> None:
+                    cols_t: np.ndarray) -> None:
     """Unfold items ``[start, stop)`` of ``x`` into ``cols_t`` ((rows, P*b)).
 
     The engine-internal transposed block layout: column index ``(p, n)``,
@@ -278,7 +281,7 @@ def _gather_block_t(x: np.ndarray, plan: ConvPlan, start: int, stop: int,
     and scatter slices vectorize best (long batch-contiguous runs), and
     the one the blocked GEMMs consume/produce without reordering.
     """
-    windows = _windows_block(x, plan, start, stop, ws)
+    windows = _windows_block(x, plan, start, stop)
     b = stop - start
     kernel = plan.kernel
     if x.ndim == 4:
@@ -291,51 +294,57 @@ def _gather_block_t(x: np.ndarray, plan: ConvPlan, start: int, stop: int,
 
 def _scatter_overlapping(cols_t: np.ndarray, plan: ConvPlan,
                          acc: np.ndarray) -> None:
-    """Per-offset strided accumulation of a block's transposed patch matrix.
+    """Strided accumulation of a block's transposed patch matrix, one pass
+    per parity group.
 
     ``cols_t`` is ``(rows, P*b)`` — column index ``(p, n)``,
     position-major *within the block* — and ``acc`` the batch-innermost
-    accumulator ``(C, *padded, b)``: slicing one kernel offset out of
-    ``cols_t`` is then a fully contiguous read, and each ``+=`` writes
-    stride-``s`` slabs whose innermost axis is the contiguous batch run
-    (the layout both sides vectorize on — measured against batch-major
-    column orders, channel-major accumulators, fused parity-group passes,
-    and residue-subgrid accumulators in ISSUE 4).  The kernel offsets of
-    each parity group (``plan.offset_groups``) write to pairwise disjoint
-    cells; group 0 (offsets below ``stride``) jointly tiles the leading
-    ``stride*out`` subgrid, so its passes *assign* instead of
-    read-modify-write — the caller only zeroes the trailing border no
-    group-0 offset reaches.  Offsets are visited in ascending order,
-    which accumulates every cell's overlapping contributions in ascending
-    kernel-offset order: the per-cell order of the reference
-    ``np.add.at``, keeping float sums bit-identical to the oracle in
-    every dtype.
+    accumulator ``(C, *plan.scatter_spatial, b)``, so every pass writes
+    slabs whose innermost axis is the contiguous batch run.  The kernel
+    offsets of one parity group (``plan.offset_groups``) write pairwise
+    disjoint cells, so one strided pass per group — per pair of groups in
+    2-D, 4 passes instead of 16 for kernel 4, stride 2 — adds them all:
+    the group's target cells viewed as ``(C, out, cnt[, out, cnt], b)``
+    take the matching kernel-offset slab of ``cols_t``.  Group 0 (offsets
+    below ``stride``) tiles the leading ``stride*out`` subgrid, so its
+    pass *assigns* instead of read-modify-writing — the caller only zeroes
+    the trailing border no group-0 offset reaches.  Groups run in
+    ascending order, which accumulates every cell's overlapping
+    contributions in ascending kernel-offset order: the per-cell order of
+    the reference ``np.add.at``, keeping float sums bit-identical to the
+    oracle in every dtype.
     """
     kernel, stride = plan.kernel, plan.stride
-    b = acc.shape[-1]
-    out = plan.out
-    view = cols_t.reshape(plan.channels,
-                          *((kernel,) * len(plan.spatial)), *out, b)
+    channels, b = plan.channels, acc.shape[-1]
+    groups = plan.offset_groups
     if len(plan.spatial) == 2:
-        oh, ow = out
-        for ki in range(kernel):
-            rows = slice(ki, ki + stride * oh, stride)
-            for kj in range(kernel):
-                if ki < stride and kj < stride:
-                    # Parity group 0 (offsets < stride) has pairwise
-                    # disjoint targets that jointly tile the leading
-                    # [0, stride*out) subgrid: plain assignment, no
-                    # read-modify-write, no prior zeroing needed there.
-                    acc[:, rows, kj: kj + stride * ow: stride, :] = view[:, ki, kj]
+        oh, ow = plan.out
+        view = cols_t.reshape(channels, kernel, kernel, oh, ow, b)
+        for mi, ci in groups:
+            rows = slice(mi * stride, (mi + oh) * stride)
+            for mj, cj in groups:
+                # Splitting an axis in two is always a view: writes land.
+                cells = acc[:, rows, mj * stride: (mj + ow) * stride].reshape(
+                    channels, oh, stride, ow, stride, b
+                )[:, :, :ci, :, :cj]
+                slab = view[:, mi * stride: mi * stride + ci,
+                            mj * stride: mj * stride + cj].transpose(0, 3, 1, 4, 2, 5)
+                if mi == mj == 0:
+                    cells[...] = slab
                 else:
-                    acc[:, rows, kj: kj + stride * ow: stride, :] += view[:, ki, kj]
+                    cells += slab
     else:
-        (ol,) = out
-        for ki in range(kernel):
-            if ki < stride:
-                acc[:, ki: ki + stride * ol: stride, :] = view[:, ki]
+        (ol,) = plan.out
+        view = cols_t.reshape(channels, kernel, ol, b)
+        for m, cnt in groups:
+            cells = acc[:, m * stride: (m + ol) * stride].reshape(
+                channels, ol, stride, b
+            )[:, :, :cnt]
+            slab = view[:, m * stride: m * stride + cnt].transpose(0, 2, 1, 3)
+            if m == 0:
+                cells[...] = slab
             else:
-                acc[:, ki: ki + stride * ol: stride, :] += view[:, ki]
+                cells += slab
 
 
 def _scatter_block(cols_t: np.ndarray, plan: ConvPlan, out: np.ndarray,
@@ -343,9 +352,8 @@ def _scatter_block(cols_t: np.ndarray, plan: ConvPlan, out: np.ndarray,
     """Fold a block's transposed patch matrix into ``out[start:stop]``.
 
     ``cols_t`` is ``(rows, P*b)`` with position-major-within-block
-    columns — the layout the blocked GEMMs produce directly, and the one
-    whose per-offset slices are contiguous reads.  Writes every cell of
-    the target slice, so ``out`` may be uninitialized.
+    columns — the layout the blocked GEMMs produce directly.  Writes
+    every cell of the target slice, so ``out`` may be uninitialized.
     """
     b = stop - start
     positions = plan.n_positions
@@ -365,7 +373,7 @@ def _scatter_block(cols_t: np.ndarray, plan: ConvPlan, out: np.ndarray,
         if plan.padding:
             out[start:stop] = buf[plan.unpad_slices]
         return
-    acc = _ws(ws, "scatter", (plan.channels, *plan.padded_spatial, b),
+    acc = _ws(ws, "scatter", (plan.channels, *plan.scatter_spatial, b),
               cols_t.dtype)
     # Parity group 0 assigns the leading [0, stride*out) subgrid, so only
     # the trailing border (cells no group-0 offset reaches) needs zeroing.
@@ -406,12 +414,11 @@ def im2col(x: np.ndarray, kernel: int, padding: int, stride: int) -> np.ndarray:
     batch = x.shape[0]
     cols = np.empty(plan.cols_shape(batch), dtype=x.dtype)
     block = plan.batch_block(x.dtype.itemsize)
-    ws = None
     positions = plan.n_positions
     for start in range(0, batch, block):
         stop = min(start + block, batch)
         _gather_block(x, plan, start, stop,
-                      cols[start * positions: stop * positions], ws)
+                      cols[start * positions: stop * positions])
     return cols
 
 
@@ -508,7 +515,7 @@ def conv_gemm_forward(x: np.ndarray, w_mat: np.ndarray, plan: ConvPlan,
             blocks.append((start, stop, cols_t))
         else:
             cols_t = _ws(ws, "cols_t", (plan.rows, positions * b), x.dtype)
-        _gather_block_t(x, plan, start, stop, cols_t, ws)
+        _gather_block_t(x, plan, start, stop, cols_t)
         t = _ws(ws, "gemm_out", (c_out, positions * b), x.dtype)
         np.matmul(w_mat, cols_t, out=t)
         if bias is not None:
@@ -607,7 +614,7 @@ def unfold_gemm_backward(grad: np.ndarray, x_mat: np.ndarray,
         stop = min(start + block, batch)
         b = stop - start
         cols_t = _ws(ws, "cols_t", (plan.rows, positions * b), dtype)
-        _gather_block_t(grad, plan, start, stop, cols_t, ws)
+        _gather_block_t(grad, plan, start, stop, cols_t)
         t = _ws(ws, "gemm_out", (c_in, positions * b), dtype)
         np.matmul(w_mat, cols_t, out=t)
         dx3[start:stop] = t.reshape(c_in, positions, b).transpose(2, 0, 1)

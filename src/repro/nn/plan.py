@@ -133,13 +133,17 @@ class ConvPlan:
         spatial dimension, the list of ``(m, cnt)`` pairs where group
         ``m`` fuses the ``cnt`` mutually disjoint offsets ``m * stride
         + rho`` (``rho < cnt``) into a single strided accumulation pass.
+    scatter_spatial:
+        Spatial extent of the overlapping scatter's accumulator: the
+        padded record, plus the cells a partial last parity group's pass
+        reaches past it.
     """
 
     __slots__ = (
         "item_shape", "kernel", "padding", "stride", "channels",
         "spatial", "out", "n_positions", "rows",
         "padded_spatial", "padded_item_size", "unpad_slices", "overlapping",
-        "offset_groups", "_scatter_index",
+        "offset_groups", "scatter_spatial", "_scatter_index", "__weakref__",
     )
 
     def __init__(self, item_shape: tuple[int, ...], kernel: int, padding: int,
@@ -165,8 +169,7 @@ class ConvPlan:
         self.padded_spatial = padded
         self.padded_item_size = channels * prod(padded)
         self.unpad_slices = (slice(None), slice(None)) + tuple(
-            slice(padding, size - padding) if padding else slice(None)
-            for size in padded
+            slice(padding, padding + size) for size in spatial
         )
         self.overlapping = stride < kernel
         # Offsets k_off = m*stride + rho (rho < cnt) form group m; within a
@@ -176,6 +179,12 @@ class ConvPlan:
             (m, min(stride, kernel - m * stride))
             for m in range(-(-kernel // stride))
         ) if self.overlapping else ()
+        # Group m's pass spans stride * out cells from its first offset
+        # m * stride; for a partial last group that runs past the padded
+        # record, so the overlapping scatter's accumulator is this large.
+        self.scatter_spatial = tuple(
+            stride * (o + len(self.offset_groups) - 1) for o in self.out
+        ) if self.overlapping else padded
         self._scatter_index: np.ndarray | None = None
 
     def cols_shape(self, batch: int) -> tuple[int, int]:

@@ -45,6 +45,11 @@ class TestLeakyReLU:
         with pytest.raises(ValueError):
             LeakyReLU(-0.1)
 
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError):
+            LeakyReLU(alpha)
+
     @settings(max_examples=30, deadline=None)
     @given(x=FLOATS)
     def test_preserves_sign_structure(self, x):
@@ -78,6 +83,32 @@ class TestLeakyReLU:
         assert out.dtype == dtype and dx.dtype == dtype
         assert np.array_equal(out, ref_out)
         assert np.array_equal(dx, ref_dx)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [0, 0.2, 1, 3, 2.0**25])
+    def test_scale_matches_reference_on_special_values(self, rng, dtype, alpha):
+        """Forward and backward equal the oracle bit for bit, signed zeros,
+        infinities and NaNs included (values and sign bits).
+
+        alpha 0 is the case a select ``max(x, alpha * x)`` gets wrong
+        (``0 * inf`` is NaN); alpha 1 is identity; at 2**25 a scale built
+        as ``(1 - alpha) * mask + alpha`` rounds the 1 away in float32.
+        """
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                            1e-30, -1e-30, 3e38, -3e38], dtype=dtype)
+        x = np.concatenate([special, rng.standard_normal(54).astype(dtype)])
+        grad = np.concatenate([special[::-1], rng.standard_normal(54).astype(dtype)])
+        x, grad = x.reshape(4, 16), grad.reshape(4, 16)
+        layer = LeakyReLU(alpha)
+        with np.errstate(all="ignore"):
+            out = layer.forward(x)
+            dx = layer.backward(grad)
+            ref_out, scale = layer._reference_forward(x)
+            ref_dx = layer._reference_backward(grad, scale)
+        for got, want in ((out, ref_out), (dx, ref_dx)):
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_cached_state_is_a_bitmask(self, rng):
         """The forward cache is one bool per element, not a float array."""

@@ -6,6 +6,7 @@ import pytest
 
 from repro.nn import BatchNorm
 from repro.nn.batchnorm import reference_batchnorm
+from repro.nn.layers import channel_sum
 
 from tests.nn.gradcheck import check_input_grad, check_param_grads
 
@@ -73,16 +74,28 @@ class TestGradients:
         check_input_grad(bn, rng.standard_normal((4, 3)), training=False, atol=1e-6)
 
 
-def _run_pair(shape, dtype, training=True, accumulate=False, seed=0):
+def _strided(rng, shape, dtype):
+    """A non-contiguous array of ``shape``: every other element of the
+    last axis of a twice-as-wide buffer."""
+    wide = rng.standard_normal(shape[:-1] + (2 * shape[-1],)) * 3 + 5
+    return wide.astype(dtype)[..., ::2]
+
+
+def _run_pair(shape, dtype, training=True, accumulate=False, seed=0,
+              strided=False):
     """Forward+backward one batch through a fused and a reference layer.
 
     Returns ``(fused, reference)`` dicts of outputs, input gradients,
-    parameter gradients, and running statistics.
+    parameter gradients, and running statistics.  ``strided`` feeds
+    non-contiguous input and gradient.
     """
     rng = np.random.default_rng(seed)
     features = shape[1]
-    x = (rng.standard_normal(shape) * 3 + 5).astype(dtype)
-    grad = rng.standard_normal(shape).astype(dtype)
+    if strided:
+        x, grad = _strided(rng, shape, dtype), _strided(rng, shape, dtype)
+    else:
+        x = (rng.standard_normal(shape) * 3 + 5).astype(dtype)
+        grad = rng.standard_normal(shape).astype(dtype)
     results = []
     for use_reference in (False, True):
         bn = BatchNorm(features, dtype=dtype)
@@ -122,20 +135,30 @@ def _run_pair(shape, dtype, training=True, accumulate=False, seed=0):
 
 
 SHAPES = [(16, 5), (8, 4, 6), (6, 3, 5, 5)]
+#: Plus the training shapes, large enough for the per-channel ops to run
+#: over the flat (N, C*P) view.
+EXACT_SHAPES = SHAPES + [(64, 64, 2, 2), (64, 32, 4, 4)]
 
 
 class TestFusedVsReference:
     """The nn/plan.py convention: bit-for-bit in float64, 1e-5 in float32."""
 
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", EXACT_SHAPES)
     def test_float64_bit_identical_training(self, shape):
         fused, ref = _run_pair(shape, np.float64, training=True)
         for key in fused:
             assert np.array_equal(fused[key], ref[key]), key
 
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", EXACT_SHAPES)
     def test_float64_bit_identical_eval(self, shape):
         fused, ref = _run_pair(shape, np.float64, training=False)
+        for key in fused:
+            assert np.array_equal(fused[key], ref[key]), key
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("shape", EXACT_SHAPES)
+    def test_float64_bit_identical_strided(self, shape, training):
+        fused, ref = _run_pair(shape, np.float64, training=training, strided=True)
         for key in fused:
             assert np.array_equal(fused[key], ref[key]), key
 
@@ -177,6 +200,86 @@ class TestFusedVsReference:
         out = bn.forward(x, training=True)
         assert np.all(np.isfinite(out))
         assert np.all(bn.running_var >= 0.0)
+
+
+def _bcast(stat, ndim):
+    return stat.reshape((1, -1) + (1,) * (ndim - 2))
+
+
+def _broadcast_view_kernels(bn, x, grad, training):
+    """The fused float32 kernels written with ``(1, C, 1, 1)`` broadcast
+    views, the formulation the flat ``(N, C*P)`` per-channel ops must
+    reproduce bit for bit.  Returns the fused layer's observables."""
+    count = x.size // x.shape[1]
+    scratch = None
+    if training:
+        mean = channel_sum(x) / x.dtype.type(count)
+        scratch = np.multiply(x, x)
+        var = channel_sum(scratch) / count - mean * mean
+        np.maximum(var, 0.0, out=var)
+        running_mean = bn.momentum * bn.running_mean + (1 - bn.momentum) * mean
+        running_var = bn.momentum * bn.running_var + (1 - bn.momentum) * var
+    else:
+        mean, var = bn.running_mean, bn.running_var
+        running_mean, running_var = mean, var
+    x_hat = np.subtract(x, _bcast(mean, x.ndim))
+    inv_std = 1.0 / np.sqrt(var + bn.eps)
+    np.multiply(x_hat, _bcast(inv_std, x.ndim), out=x_hat)
+    out = scratch if scratch is not None else np.empty_like(x_hat)
+    np.multiply(x_hat, _bcast(bn.gamma.data, x.ndim), out=out)
+    np.add(out, _bcast(bn.beta.data, x.ndim), out=out)
+
+    prod = np.multiply(grad, x_hat)
+    dgamma = channel_sum(prod)
+    dbeta = channel_sum(grad)
+    c1 = bn.gamma.data * inv_std
+    if training:
+        c2 = -c1 * (dgamma / count)
+        c0 = -c1 * (dbeta / count)
+        dx = np.multiply(grad, _bcast(c1, x.ndim))
+        np.multiply(x_hat, _bcast(c2, x.ndim), out=prod)
+        np.add(dx, prod, out=dx)
+        np.add(dx, _bcast(c0, x.ndim), out=dx)
+    else:
+        dx = grad * _bcast(c1, x.ndim)
+    return {"out": out, "dx": dx, "dgamma": dgamma, "dbeta": dbeta,
+            "running_mean": running_mean, "running_var": running_var}
+
+
+class TestFlatPerChannelOps:
+    """The fused kernels apply per-channel vectors over the flat
+    ``(N, C*P)`` view of contiguous input; every observable must equal the
+    broadcast-view formulation exactly."""
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided_x", "strided_grad"])
+    @pytest.mark.parametrize("shape", EXACT_SHAPES)
+    def test_float32_equals_broadcast_views(self, shape, layout, training):
+        rng = np.random.default_rng(3)
+        channels = shape[1]
+        if layout == "strided_x":
+            x = _strided(rng, shape, np.float32)
+        else:
+            x = (rng.standard_normal(shape) * 3 + 1).astype(np.float32)
+        if layout == "strided_grad":
+            grad = _strided(rng, shape, np.float32)
+        else:
+            grad = rng.standard_normal(shape).astype(np.float32)
+        bn = BatchNorm(channels, dtype=np.float32)
+        bn.gamma.data[...] = rng.uniform(0.5, 2.0, channels)
+        bn.beta.data[...] = rng.uniform(-1.0, 1.0, channels)
+        bn.running_mean[...] = rng.uniform(-1.0, 1.0, channels)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, channels)
+        want = _broadcast_view_kernels(bn, x, grad, training)
+
+        out = bn.forward(x, training=training)
+        got = {"out": out, "dx": bn.backward(grad), "dgamma": bn.gamma.grad,
+               "dbeta": bn.beta.grad, "running_mean": bn.running_mean,
+               "running_var": bn.running_var}
+        for key, value in want.items():
+            assert got[key].dtype == np.float32, key
+            assert got[key].shape == value.shape, key
+            assert np.array_equal(got[key], value), key
 
 
 class TestRunningStats:
