@@ -6,7 +6,8 @@ module reads a CSV into a schema-valid :class:`~repro.data.table.Table`
 (with column kinds inferred or declared), and writes Tables back out with
 categorical codes decoded.  :class:`RowRenderer` is the one row format
 behind every writer of decoded rows: ``write_csv``, the streaming
-``CsvSink`` and the server's CSV and JSON responses.
+``CsvSink`` and the server's CSV and JSON responses.  CSV files are
+UTF-8 whatever the locale, as the server's CSV bodies are.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def read_csv(path, qids=(), label: str | None = None,
     Parameters
     ----------
     path:
-        CSV file with a header row.
+        UTF-8 CSV file with a header row.
     qids:
         Column names to mark as quasi-identifiers.
     label:
@@ -75,7 +76,7 @@ def read_csv(path, qids=(), label: str | None = None,
     qids = set(qids)
     categorical = set(categorical)
     identifiers = set(identifiers)
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -266,9 +267,9 @@ def decoded_rows(table: Table) -> list[list]:
 
 
 def write_csv(table: Table, path) -> None:
-    """Write a Table to CSV, decoding categorical codes to their strings."""
+    """Write a Table to UTF-8 CSV, decoding categorical codes to their strings."""
     renderer = row_renderer(table.schema)
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(renderer.csv_header)
         for block in renderer.csv_blocks(table.values):
             handle.write(block)

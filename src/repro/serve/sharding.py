@@ -18,7 +18,14 @@ not the scheduling:
 Hence ``--workers 1`` and ``--workers 8`` produce **bit-identical**
 output; the pool only decides which process computes which shard.  Workers
 re-load from the registry instead of inheriting live objects, so the same
-code path works under both ``fork`` and ``spawn`` start methods.
+code path works under both ``fork`` and ``spawn`` start methods.  The
+parent reads the schema from the manifest and never loads the model.
+
+When the sink names a ``chunk_renderer`` (a CSV sink does), each pool
+worker also renders its shard, and the parent only writes the bytes in
+shard order.  The in-process path hands the sink raw values, which it
+renders and writes block by block, so its first row does not wait for a
+whole shard.
 
 Each pool worker takes ``max(1, cores // workers)`` BLAS threads (see
 :mod:`repro.utils.threads`), so ``N`` workers do not oversubscribe the
@@ -27,15 +34,18 @@ cores; the in-process path (one worker) keeps the library default.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.schema import TableSchema
 from repro.data.table import Table
-from repro.serve.registry import ModelRegistry, RegistryError
+from repro.serve.registry import CorruptArtifactError, ModelRegistry, RegistryError
 from repro.utils.threads import budget_blas_threads
 
 #: Shards dispatched to the pool but not yet taken by the consumer, per
@@ -75,20 +85,25 @@ def plan_shards(n: int, shard_rows: int, seed=None) -> list[Shard]:
 # ----------------------------------------------------------------------
 # Worker-side machinery.  Module-level (picklable) so both fork and spawn
 # start methods can run it; each worker process loads the model from the
-# registry exactly once and caches it.
+# registry once, on its first shard, so a load error reaches the parent
+# through that shard's result (an initializer that raises would leave the
+# pool restarting workers forever).
 # ----------------------------------------------------------------------
-_WORKER_MODEL: dict = {}
+_WORKER: dict = {}
 
 
-def _worker_init(root: str, name: str, workers: int) -> None:
+def _worker_init(root: str, name: str, workers: int, render) -> None:
     budget_blas_threads(workers)
-    _WORKER_MODEL["model"] = ModelRegistry(root).load(name)
+    _WORKER.update(root=root, name=name, render=render, model=None)
 
 
-def _sample_shard(shard: Shard) -> np.ndarray:
-    model = _WORKER_MODEL["model"]
-    table = model.sample(shard.rows, rng=np.random.default_rng(shard.seed))
-    return table.values
+def _sample_shard(shard: Shard):
+    if _WORKER["model"] is None:
+        _WORKER["model"] = ModelRegistry(_WORKER["root"]).load(_WORKER["name"])
+    table = _WORKER["model"].sample(shard.rows,
+                                    rng=np.random.default_rng(shard.seed))
+    render = _WORKER["render"]
+    return table.values if render is None else render(table.values)
 
 
 def _default_start_method() -> str:
@@ -144,19 +159,26 @@ class ShardedSampler:
             self._model = self.registry.load(self.name)
         return self._model
 
-    @property
-    def schema(self):
-        """Schema of the sampled table."""
-        model = self.model()
-        reference = model if hasattr(model, "codec_") else model.models_[0]
-        return reference.codec_.schema_
+    @functools.cached_property
+    def schema(self) -> TableSchema:
+        """Schema of the sampled table, read from the manifest: the schema
+        :meth:`ModelRegistry.load` rebuilds the codec from."""
+        try:
+            return TableSchema.from_dict(
+                self.registry.manifest(self.name)["schema"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptArtifactError(
+                f"manifest for {self.name!r} holds no readable schema: {exc}"
+            ) from exc
 
-    def _shard_values(self, shards, workers: int):
-        """Yield each shard's decoded values, in shard order.
+    def _shard_chunks(self, shards, workers: int, render=None):
+        """Yield each shard's rows, in shard order.
 
-        With a pool, at most ``IN_FLIGHT_PER_WORKER × workers`` shards are
-        dispatched and not yet yielded: a consumer slower than the workers
-        stalls dispatch instead of piling finished shards up in memory.
+        In-process that is the decoded value matrix; from a pool worker it
+        is ``render(values)`` when ``render`` is given.  With a pool, at
+        most ``IN_FLIGHT_PER_WORKER × workers`` shards are dispatched and
+        not yet yielded: a consumer slower than the workers stalls dispatch
+        instead of piling finished shards up in memory.
         """
         workers = min(int(workers), len(shards))
         if workers <= 1:
@@ -169,7 +191,8 @@ class ShardedSampler:
         ctx = multiprocessing.get_context(self.start_method)
         with ctx.Pool(
             workers, initializer=_worker_init,
-            initargs=(os.fspath(self.registry.root), self.name, workers),
+            initargs=(os.fspath(self.registry.root), self.name, workers,
+                      render),
         ) as pool:
             # Shards compute out of order but are taken in shard order, and
             # a new one is dispatched only as the oldest is taken.
@@ -177,16 +200,16 @@ class ShardedSampler:
             pending = deque(pool.apply_async(_sample_shard, (shard,))
                             for shard in shards[:window])
             for shard in shards[window:]:
-                values = pending.popleft().get()
+                chunk = pending.popleft().get()
                 pending.append(pool.apply_async(_sample_shard, (shard,)))
-                yield values
+                yield chunk
             while pending:
                 yield pending.popleft().get()
 
     def sample_values(self, n: int, seed=None, workers: int = 1) -> np.ndarray:
         """``n`` decoded rows as a value matrix, invariant to ``workers``."""
         shards = plan_shards(n, self.shard_rows, seed)
-        return np.concatenate(list(self._shard_values(shards, workers)), axis=0)
+        return np.concatenate(list(self._shard_chunks(shards, workers)), axis=0)
 
     def sample_table(self, n: int, seed=None, workers: int = 1) -> Table:
         """``n`` decoded rows as a schema-valid :class:`Table`."""
@@ -200,11 +223,15 @@ class ShardedSampler:
         outputs in bounded memory: besides the shard being written, at most
         ``IN_FLIGHT_PER_WORKER × workers`` shards are dispatched and not yet
         written, and each shard is written and dropped as soon as its turn
-        in the output order arrives.
+        in the output order arrives.  Pool workers apply the sink's
+        ``chunk_renderer``, if it has one, before the hand-off.
         """
         shards = plan_shards(n, self.shard_rows, seed)
+        render = getattr(sink, "chunk_renderer", None)
         written = 0
-        for values in self._shard_values(shards, workers):
-            sink.write(values)
-            written += values.shape[0]
+        # closing(): a failed write shuts the pool down now, not whenever
+        # the suspended generator is collected.
+        with closing(self._shard_chunks(shards, workers, render)) as chunks:
+            for chunk in chunks:
+                written += sink.write(chunk)
         return written

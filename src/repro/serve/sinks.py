@@ -10,10 +10,18 @@ temporary file next to the destination and is committed with
 temporary file is removed and the destination is never touched — a
 crashed million-row export leaves no half-written file behind.
 
+A sink may also name a :attr:`~CsvSink.chunk_renderer`: a picklable
+function that turns a value matrix into a chunk its ``write`` accepts.
+The sharded sampler runs it in the pool worker that sampled the shard, so
+the process that owns the sink only writes.
+
 * :class:`CsvSink` — schema-aware CSV with categorical codes decoded to
   their vocabulary strings, rendered column by column by the
   :class:`~repro.data.io.RowRenderer` that :func:`repro.data.io.write_csv`
-  and the server's CSV responses share.
+  and the server's CSV responses share.  Files are UTF-8 under any
+  locale.  A chunk is a value matrix (rendered in the sink, 256 rows at a
+  time) or a :class:`CsvChunk` rendered ahead by
+  :func:`render_csv_chunk`.
 * :class:`NpzSink` — a ``np.load``-compatible ``.npz`` archive written
   incrementally: each chunk becomes one ``chunk_NNNNN`` member (plus a
   ``columns`` member), so neither writer nor reader ever needs the full
@@ -22,8 +30,10 @@ crashed million-row export leaves no half-written file behind.
 
 from __future__ import annotations
 
+import functools
 import os
 import zipfile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +83,21 @@ class _AtomicSink:
         return False
 
 
+class CsvChunk(NamedTuple):
+    """CSV rows rendered ahead of the sink: ``rows`` rows as UTF-8 ``data``."""
+
+    rows: int
+    data: bytes
+
+
+def render_csv_chunk(schema: TableSchema, values: np.ndarray) -> CsvChunk:
+    """``values``' rows as the bytes a :class:`CsvSink` of ``schema`` writes."""
+    blocks = row_renderer(schema).csv_blocks(values)
+    return CsvChunk(len(values), b"".join(b.encode("utf-8") for b in blocks))
+
+
 class CsvSink(_AtomicSink):
-    """Append decoded table rows to a CSV file, chunk by chunk.
+    """Append decoded table rows to a UTF-8 CSV file, chunk by chunk.
 
     Parameters
     ----------
@@ -88,23 +111,33 @@ class CsvSink(_AtomicSink):
         super().__init__(path)
         self.schema = schema
         self._renderer = row_renderer(schema)
-        self._handle = open(self._tmp, "w", newline="")
-        self._handle.write(self._renderer.csv_header)
+        self._handle = open(self._tmp, "wb")
+        self._handle.write(self._renderer.csv_header.encode("utf-8"))
 
-    def write(self, values) -> int:
-        """Write one chunk (a value matrix or a Table); returns its row count."""
+    @property
+    def chunk_renderer(self):
+        """Picklable ``values -> CsvChunk`` for rendering in another process."""
+        return functools.partial(render_csv_chunk, self.schema)
+
+    def write(self, chunk) -> int:
+        """Write one chunk (a value matrix, a Table or a :class:`CsvChunk`);
+        returns its row count."""
         if self._closed:
             raise ValueError("sink is closed")
         # Injection seam: a raise mid-export must abort the temp file and
         # leave the destination untouched (the atomicity contract).
         fault_point("sink.write")
-        table = values if isinstance(values, Table) else Table(
-            np.asarray(values), self.schema
+        if isinstance(chunk, CsvChunk):
+            self._handle.write(chunk.data)
+            self.rows_written += chunk.rows
+            return chunk.rows
+        table = chunk if isinstance(chunk, Table) else Table(
+            np.asarray(chunk), self.schema
         )
         if table.schema is not self.schema and table.schema != self.schema:
             raise ValueError("chunk schema does not match the sink schema")
         for block in self._renderer.csv_blocks(table.values):
-            self._handle.write(block)
+            self._handle.write(block.encode("utf-8"))
         self.rows_written += table.n_rows
         return table.n_rows
 

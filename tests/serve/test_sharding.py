@@ -1,14 +1,32 @@
 """Sharded sampling: worker-count invariance and deterministic plans."""
 
+import csv
+import io
+import multiprocessing
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from repro import ChunkedTableGAN, low_privacy
+from repro.cli import main
 from repro.core.tablegan import TableGAN
-from repro.serve import CsvSink, ShardedSampler, plan_shards
+from repro.data.io import row_renderer
+from repro.data.schema import ColumnKind, ColumnRole, ColumnSpec, TableSchema
+from repro.data.table import Table
+from repro.serve import (
+    CsvSink,
+    ModelRegistry,
+    ShardedSampler,
+    plan_shards,
+    read_npz_chunks,
+)
 from repro.serve.sharding import IN_FLIGHT_PER_WORKER
+from repro.serve.sinks import CsvChunk
+from repro.utils.faults import FaultError, FaultPlan
 from repro.utils.threads import blas_threads, usable_cores
 
 
@@ -78,6 +96,62 @@ class TestShardedSampler:
         assert not np.array_equal(a, b)
 
 
+class TestSchema:
+    """The schema comes from the manifest, so reading it loads no model."""
+
+    def test_tablegan_schema_is_the_loaded_models(self, populated_registry,
+                                                  call_probe):
+        call_probe.wrap(ModelRegistry, "load")
+        schema = ShardedSampler(populated_registry, "tiny").schema
+        assert call_probe.records() == []
+        assert schema == populated_registry.load("tiny").codec_.schema_
+
+    def test_chunked_schema_is_the_loaded_models(self, tmp_path, adult_bundle,
+                                                 tiny_gan_config):
+        chunked = ChunkedTableGAN(
+            tiny_gan_config.with_overrides(epochs=1), n_chunks=2
+        )
+        chunked.fit(adult_bundle.train, rng=np.random.default_rng(0))
+        registry = ModelRegistry(tmp_path)
+        registry.register("chunked", chunked)
+        loaded = registry.load("chunked")
+        schema = ShardedSampler(registry, "chunked").schema
+        assert all(schema == m.codec_.schema_ for m in loaded.models_)
+
+
+#: Every category needs CSV quoting (a comma, a double quote and a
+#: newline) and is non-ASCII, so whichever the generator emits exercises
+#: all of it.
+QUOTED_VOCABULARY = ('café, "Nord"\nA', 'naïve, "Süd"\nB', 'ö, "Ost"\nC')
+
+
+@pytest.fixture(scope="module")
+def quoting_registry(tmp_path_factory):
+    """A registry holding ``quoted``, trained on a table whose categorical
+    column uses :data:`QUOTED_VOCABULARY`."""
+    rng = np.random.default_rng(0)
+    schema = TableSchema([
+        ColumnSpec("place", ColumnKind.CATEGORICAL, ColumnRole.QID,
+                   QUOTED_VOCABULARY),
+        ColumnSpec("age", ColumnKind.DISCRETE, ColumnRole.QID),
+        ColumnSpec("income", ColumnKind.CONTINUOUS, ColumnRole.SENSITIVE),
+        ColumnSpec("score", ColumnKind.CONTINUOUS, ColumnRole.SENSITIVE),
+    ])
+    rows = 96
+    values = np.column_stack([
+        rng.integers(0, len(QUOTED_VOCABULARY), rows),
+        rng.integers(18, 90, rows),
+        rng.normal(50_000, 9_000, rows),
+        rng.random(rows),
+    ]).astype(np.float64)
+    gan = TableGAN(low_privacy(epochs=1, batch_size=16, base_channels=8,
+                               seed=0))
+    gan.fit(Table(values, schema))
+    registry = ModelRegistry(tmp_path_factory.mktemp("quoting"))
+    registry.register("quoted", gan)
+    return registry
+
+
 class _SlowSink:
     """A sink slower than the workers that counts the shards started by
     the time each write begins (workers log a line per shard started)."""
@@ -91,6 +165,23 @@ class _SlowSink:
             self.started_at_write.append(sum(1 for _ in handle))
         time.sleep(0.05)
         return values.shape[0]
+
+
+class _SlowCsvSink(CsvSink):
+    """:class:`_SlowSink`'s twin for CSV: pool workers render its chunks."""
+
+    def __init__(self, path, schema, started_log):
+        super().__init__(path, schema)
+        self.started_log = started_log
+        self.started_at_write: list[int] = []
+        self.chunk_types: set[type] = set()
+
+    def write(self, values):
+        with open(self.started_log, encoding="utf-8") as handle:
+            self.started_at_write.append(sum(1 for _ in handle))
+        self.chunk_types.add(type(values))
+        time.sleep(0.05)
+        return super().write(values)
 
 
 @pytest.mark.mp
@@ -133,3 +224,92 @@ class TestPool:
         # Workers still run ahead of the sink (each write sleeps 50 ms,
         # ample time to start the next dispatched shards).
         assert max(ahead) >= 2, sink.started_at_write
+
+    def test_rendered_shards_in_flight_are_bounded(self, sampler, call_probe,
+                                                   tmp_path):
+        """The CSV twin: workers render, and a slow writer still stalls
+        dispatch at ``IN_FLIGHT_PER_WORKER × workers`` shards ahead."""
+        call_probe.wrap(TableGAN, "sample")
+        workers, shards = 2, 16
+        with _SlowCsvSink(tmp_path / "rows.csv", sampler.schema,
+                          call_probe.path) as sink:
+            written = sampler.sample_to_sink(8 * shards, sink, seed=3,
+                                             workers=workers)
+        assert written == 8 * shards
+        assert sink.chunk_types == {CsvChunk}
+        window = IN_FLIGHT_PER_WORKER * workers
+        ahead = [started - (j + 1)
+                 for j, started in enumerate(sink.started_at_write)]
+        assert len(ahead) == shards
+        assert max(ahead) <= window, sink.started_at_write
+        assert max(ahead) >= 2, sink.started_at_write
+
+    @pytest.mark.chaos
+    def test_failed_write_leaves_nothing_behind(self, sampler, tmp_path):
+        path = tmp_path / "rows.csv"
+        with FaultPlan().arm("sink.write", after=1) as plan:
+            with pytest.raises(FaultError):
+                with CsvSink(path, sampler.schema) as sink:
+                    sampler.sample_to_sink(64, sink, seed=3, workers=2)
+        assert plan.fired("sink.write") == 1
+        assert not path.exists()
+        assert [p.name for p in tmp_path.iterdir() if ".tmp-" in p.name] == []
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_export_loads_the_model_only_in_workers(
+            self, populated_registry, call_probe, tmp_path):
+        call_probe.wrap(ModelRegistry, "load")
+        out = tmp_path / "rows.csv"
+        assert main(["synth", "--registry", str(populated_registry.root),
+                     "--model-name", "tiny", "-n", "64", "--shard-rows", "8",
+                     "--workers", "2", "--out", str(out)]) == 0
+        pids = [pid for pid, _threads in call_probe.records()]
+        assert pids and os.getpid() not in pids
+        assert len(set(pids)) == len(pids) <= 2  # once per worker
+
+    @pytest.mark.chaos
+    def test_corrupt_artifact_fails_a_pooled_export(self, trained_gan,
+                                                    tmp_path):
+        """Workers load the model; a load error must end the export, not
+        leave the pool restarting workers."""
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.register("m", trained_gan)
+        artifact = registry.path_for("m") / "generator.npz"
+        blob = bytearray(artifact.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        artifact.write_bytes(bytes(blob))
+        out = tmp_path / "rows.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "synth", "--registry",
+             str(registry.root), "--model-name", "m", "-n", "64",
+             "--shard-rows", "8", "--workers", "2", "--out", str(out)],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode != 0
+        assert "checksum mismatch" in done.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["registry"]
+
+    def test_quoted_non_ascii_export_is_worker_invariant(self,
+                                                         quoting_registry,
+                                                         tmp_path):
+        base = ["synth", "--registry", str(quoting_registry.root),
+                "--model-name", "quoted", "-n", "60", "--seed", "4",
+                "--shard-rows", "8"]
+        files = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"rows-{workers}.csv"
+            assert main([*base, "--workers", str(workers),
+                         "--out", str(out)]) == 0
+            files[workers] = out.read_bytes()
+        assert files[1] == files[2] == files[3]
+        # NPZ exports still ship raw values, and the CSV is their rendering.
+        npz = tmp_path / "rows.npz"
+        assert main([*base, "--workers", "2", "--out", str(npz)]) == 0
+        values, _columns = read_npz_chunks(npz)
+        sampler = ShardedSampler(quoting_registry, "quoted", shard_rows=8)
+        assert np.array_equal(values, sampler.sample_values(60, seed=4))
+        assert files[1] == row_renderer(sampler.schema).csv_text(
+            values, header=True).encode("utf-8")
+        rows = list(csv.reader(io.StringIO(files[1].decode("utf-8"),
+                                           newline="")))
+        assert len(rows) == 61
+        assert {row[0] for row in rows[1:]} <= set(QUOTED_VOCABULARY)

@@ -1,13 +1,18 @@
 """Streaming sinks: chunked writes, atomic commit, and format round trips."""
 
 import csv
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from repro.data.io import write_csv
+from repro.data.io import row_renderer, write_csv
+from repro.data.schema import ColumnKind, ColumnRole, ColumnSpec, TableSchema
 from repro.serve import CsvSink, NpzSink, read_npz_chunks
+from repro.serve.sinks import CsvChunk
 
 
 @pytest.fixture()
@@ -56,6 +61,70 @@ class TestCsvSink:
         sink.close()
         with pytest.raises(ValueError, match="closed"):
             sink.write(table.values)
+
+    def test_prerendered_chunks_equal_values(self, table, tmp_path):
+        """Chunks rendered ahead (as pool workers do) write the same bytes."""
+        whole = tmp_path / "whole.csv"
+        write_csv(table, whole)
+        streamed = tmp_path / "streamed.csv"
+        with CsvSink(streamed, table.schema) as sink:
+            render = sink.chunk_renderer
+            for start in range(0, table.n_rows, 5):
+                chunk = render(table.values[start : start + 5])
+                assert isinstance(chunk, CsvChunk)
+                assert sink.write(chunk) == chunk.rows
+            assert sink.rows_written == table.n_rows
+        assert streamed.read_bytes() == whole.read_bytes()
+
+
+#: Writes and reads back a non-ASCII table with write_csv and CsvSink,
+#: under whatever locale the interpreter was started in.
+_LOCALE_SCRIPT = """
+import json, locale, sys
+import numpy as np
+from repro.data.io import read_csv, write_csv
+from repro.data.table import Table
+from repro.data.schema import TableSchema
+from repro.serve import CsvSink
+
+out, schema, values = sys.argv[1], TableSchema.from_dict(
+    json.loads(sys.argv[2])), np.array(json.loads(sys.argv[3]))
+write_csv(Table(values, schema), out + "/written.csv")
+with CsvSink(out + "/sunk.csv", schema) as sink:
+    sink.write(values)
+print(json.dumps({
+    "encoding": locale.getpreferredencoding(False),
+    "read": [read_csv(out + name).decode_column("city")
+             for name in ("/written.csv", "/sunk.csv")],
+}))
+"""
+
+
+class TestUtf8:
+    SCHEMA = TableSchema([
+        ColumnSpec("city", ColumnKind.CATEGORICAL, ColumnRole.SENSITIVE,
+                   ("café", "Zürich, \"Nord\"", "plain")),
+        ColumnSpec("age", ColumnKind.DISCRETE, ColumnRole.QID),
+    ])
+    VALUES = [[0.0, 31.0], [1.0, 42.0], [2.0, 57.0], [0.0, 18.0]]
+
+    def test_csv_is_utf8_under_the_c_locale(self, tmp_path):
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONUTF8="0")
+        done = subprocess.run(
+            [sys.executable, "-c", _LOCALE_SCRIPT, str(tmp_path),
+             json.dumps(self.SCHEMA.to_dict()), json.dumps(self.VALUES)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        if result["encoding"].replace("-", "").lower() == "utf8":
+            pytest.skip("the C locale is UTF-8 on this platform")
+        values = np.array(self.VALUES)
+        want = row_renderer(self.SCHEMA).csv_text(values, header=True)
+        for name in ("written.csv", "sunk.csv"):
+            assert (tmp_path / name).read_bytes() == want.encode("utf-8")
+        city = ["café", "Zürich, \"Nord\"", "plain", "café"]
+        assert result["read"] == [city, city]
 
 
 class TestNpzSink:
