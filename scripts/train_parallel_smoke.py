@@ -1,12 +1,13 @@
 """CI smoke test for data-parallel training: worker-count invariance, and
 the serial trainer as the one-shard run.
 
-Five real ``python -m repro train`` subprocesses over the same data and
+Seven real ``python -m repro train`` subprocesses over the same data and
 seed.  Two contracts documented in ``repro.core.parallel`` are under test:
 
-* ``--workers`` 1, 2 and 4 (default four gradient shards): the trained
-  weights are a pure function of (data, config, gradient shards, seed) —
-  never of the worker count;
+* ``--workers`` 1, 2 and 4 (default four gradient shards), and
+  ``--layout vector`` (the §3.2 rank-1 record layout) at ``--workers`` 1
+  and 2: the trained weights are a pure function of (data, config,
+  gradient shards, seed) — never of the worker count;
 * no ``--workers`` (the serial trainer) against ``--workers 2
   --grad-shards 1``: one gradient shard *is* the serial trainer.
 
@@ -32,6 +33,7 @@ TRAIN_ARGS = [
 ]
 
 WORKER_COUNTS = (1, 2, 4)
+VECTOR_WORKER_COUNTS = (1, 2)
 #: The serial run (no ``--workers``) and its one-shard data-parallel twin.
 SERIAL_ARGS = ()
 ONE_SHARD_ARGS = ("--workers", "2", "--grad-shards", "1")
@@ -85,6 +87,16 @@ def main() -> None:
             compare_generators(models[1], models[n], "--workers 1",
                                f"workers={n}",
                                "training is not worker-count invariant")
+        vector = {n: os.path.join(tmp, f"vector-workers{n}.npz")
+                  for n in VECTOR_WORKER_COUNTS}
+        for n in VECTOR_WORKER_COUNTS:
+            run_train(("--layout", "vector", "--workers", str(n)), vector[n],
+                      f"vector workers={n}")
+        for n in VECTOR_WORKER_COUNTS[1:]:
+            compare_generators(vector[1], vector[n], "vector --workers 1",
+                               f"vector workers={n}",
+                               "vector-layout training is not worker-count "
+                               "invariant")
         serial = os.path.join(tmp, "serial.npz")
         one_shard = os.path.join(tmp, "one-shard.npz")
         run_train(SERIAL_ARGS, serial, "serial")

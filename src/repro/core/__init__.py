@@ -23,11 +23,8 @@ from repro.core.losses import (
 from repro.core.networks import (
     FEATURE_LAYER,
     build_classifier,
-    build_classifier_1d,
     build_discriminator,
-    build_discriminator_1d,
     build_generator,
-    build_generator_1d,
     feature_width,
 )
 from repro.core.sampler import RecordSampler
@@ -67,9 +64,6 @@ __all__ = [
     "build_generator",
     "build_discriminator",
     "build_classifier",
-    "build_generator_1d",
-    "build_discriminator_1d",
-    "build_classifier_1d",
     "feature_width",
     "FEATURE_LAYER",
 ]

@@ -61,17 +61,47 @@ class RecordSampler:
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
+        rng = ensure_rng(rng)
+
+        def draw(start: int, stop: int) -> np.ndarray:
+            # Each chunk draws its latents as it goes: no n-row buffer.
+            return rng.uniform(-1.0, 1.0, size=(stop - start, self.latent_dim))
+
+        return self._generate(n, draw, batch_size)
+
+    def matrices_from_latents(self, z: np.ndarray,
+                              batch_size: int | None = None) -> np.ndarray:
+        """Forward pre-drawn latents ``z`` (N, latent_dim) to record matrices.
+
+        Runs the :meth:`sample_matrices` chunk loop on slices of ``z``, so
+        the output is bit-identical to ``sample_matrices`` fed the same
+        latent draws.  The multi-process serving tier uses this to keep
+        latent sampling centralized (one seeded stream) while generation
+        fans out.
+        """
+        if z.ndim != 2 or z.shape[1] != self.latent_dim:
+            raise ValueError(
+                f"z must have shape (n, {self.latent_dim}), got {z.shape}"
+            )
+        if z.shape[0] <= 0:
+            raise ValueError(f"z must contain at least one row, got {z.shape[0]}")
+        return self._generate(z.shape[0], lambda start, stop: z[start:stop],
+                              batch_size)
+
+    def _generate(self, n: int, latents, batch_size: int | None) -> np.ndarray:
+        """The chunk loop behind both public generators.
+
+        Per chunk: ``latents(start, stop)``, cast to the compute dtype,
+        forward, copy into the output (allocated on the first chunk).
+        """
         batch_size = self.batch_size if batch_size is None else batch_size
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        rng = ensure_rng(rng)
         out: np.ndarray | None = None
-        filled = 0
         stream = getattr(self.generator, "stream_forward", None)
-        while filled < n:
-            batch = min(batch_size, n - filled)
-            z = rng.uniform(-1.0, 1.0, size=(batch, self.latent_dim))
-            z = z.astype(self._dtype, copy=False)
+        for start in range(0, n, batch_size):
+            stop = min(start + batch_size, n)
+            z = latents(start, stop).astype(self._dtype, copy=False)
             # Streamed inference keeps inter-layer activations cache-hot
             # on bulk batches; chunking is a pure function of the batch
             # size, so the record stream stays batch-size invariant.
@@ -81,44 +111,7 @@ class RecordSampler:
                 matrices = self.generator.forward(z, training=False)
             if out is None:
                 out = np.empty((n, *matrices.shape[1:]), dtype=matrices.dtype)
-            out[filled : filled + batch] = matrices
-            filled += batch
-        return out
-
-    def matrices_from_latents(self, z: np.ndarray,
-                              batch_size: int | None = None) -> np.ndarray:
-        """Forward pre-drawn latents ``z`` (N, latent_dim) to record matrices.
-
-        Replicates the :meth:`sample_matrices` chunk loop exactly — per
-        chunk: slice, cast to the compute dtype, forward — so the output
-        is bit-identical to ``sample_matrices`` fed the same latent draws.
-        The multi-process serving tier uses this to keep latent sampling
-        centralized (one seeded stream) while generation fans out.
-        """
-        if z.ndim != 2 or z.shape[1] != self.latent_dim:
-            raise ValueError(
-                f"z must have shape (n, {self.latent_dim}), got {z.shape}"
-            )
-        n = z.shape[0]
-        if n <= 0:
-            raise ValueError(f"z must contain at least one row, got {n}")
-        batch_size = self.batch_size if batch_size is None else batch_size
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        out: np.ndarray | None = None
-        filled = 0
-        stream = getattr(self.generator, "stream_forward", None)
-        while filled < n:
-            batch = min(batch_size, n - filled)
-            chunk = z[filled : filled + batch].astype(self._dtype, copy=False)
-            if stream is not None:
-                matrices = stream(chunk)
-            else:
-                matrices = self.generator.forward(chunk, training=False)
-            if out is None:
-                out = np.empty((n, *matrices.shape[1:]), dtype=matrices.dtype)
-            out[filled : filled + batch] = matrices
-            filled += batch
+            out[start:stop] = matrices
         return out
 
     def records_from_latents(self, z: np.ndarray,

@@ -22,25 +22,26 @@ import numpy as np
 from repro.core.config import TableGanConfig
 from repro.core.networks import (
     build_classifier,
-    build_classifier_1d,
     build_discriminator,
-    build_discriminator_1d,
     build_generator,
-    build_generator_1d,
 )
 from repro.core.sampler import RecordSampler
 from repro.core.trainer import TableGanTrainer, TrainingHistory
 from repro.data.encoding import TableCodec
-from repro.data.matrixizer import (
-    Matrixizer,
-    Vectorizer,
-    length_for_features,
-    side_for_features,
-)
+from repro.data.matrixizer import Matrixizer, side_for_features
 from repro.data.table import Table
 from repro.nn import atomic_savez, load_state_dict, sigmoid, state_dict
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_fitted
+
+
+def _record_rank(config: TableGanConfig) -> int:
+    """Spatial rank of ``config``'s record layout (§3.2).
+
+    The paper's d×d matrix is rank 2; the "original vector format"
+    ablation (``layout="vector"``) is rank 1 of the same code.
+    """
+    return 1 if config.layout == "vector" else 2
 
 
 def build_generator_for(config: TableGanConfig, side: int, rng=None,
@@ -55,18 +56,13 @@ def build_generator_for(config: TableGanConfig, side: int, rng=None,
     """
     dtype = config.np_dtype if dtype is None else np.dtype(dtype)
     rng = ensure_rng(rng if rng is not None else config.seed)
-    if config.layout == "vector":
-        return build_generator_1d(side, config.latent_dim, config.base_channels,
-                                  rng, dtype=dtype)
     return build_generator(side, config.latent_dim, config.base_channels,
-                           rng, dtype=dtype)
+                           rng, dtype=dtype, rank=_record_rank(config))
 
 
 def matrixizer_for(config: TableGanConfig, n_features: int, side: int):
     """The record/matrix converter matching ``config``'s layout."""
-    if config.layout == "vector":
-        return Vectorizer(n_features, length=side)
-    return Matrixizer(n_features, side=side)
+    return Matrixizer(n_features, side=side, rank=_record_rank(config))
 
 
 class TableGAN:
@@ -127,26 +123,16 @@ class TableGAN:
 
         self.codec_ = TableCodec().fit(table)
         encoded = self.codec_.encode(table)
-        if config.layout == "vector":
-            side = config.side or length_for_features(table.n_columns)
-            self.matrixizer_ = Vectorizer(table.n_columns, length=side)
-            self.generator_ = build_generator_1d(
-                side, config.latent_dim, config.base_channels, rng, dtype=dtype
-            )
-            self.discriminator_ = build_discriminator_1d(
-                side, config.base_channels, rng, dtype=dtype
-            )
-            build_c = build_classifier_1d
-        else:
-            side = config.side or side_for_features(table.n_columns)
-            self.matrixizer_ = Matrixizer(table.n_columns, side=side)
-            self.generator_ = build_generator(
-                side, config.latent_dim, config.base_channels, rng, dtype=dtype
-            )
-            self.discriminator_ = build_discriminator(
-                side, config.base_channels, rng, dtype=dtype
-            )
-            build_c = build_classifier
+        rank = _record_rank(config)
+        side = config.side or side_for_features(table.n_columns, rank=rank)
+        self.matrixizer_ = Matrixizer(table.n_columns, side=side, rank=rank)
+        self.generator_ = build_generator(
+            side, config.latent_dim, config.base_channels, rng, dtype=dtype,
+            rank=rank,
+        )
+        self.discriminator_ = build_discriminator(
+            side, config.base_channels, rng, dtype=dtype, rank=rank
+        )
         matrices = self.matrixizer_.to_matrices(encoded)
 
         if config.label_columns is not None:
@@ -158,9 +144,9 @@ class TableGAN:
         use_classifier = config.use_classifier and bool(label_names)
         label_cell = None
         if use_classifier:
-            self.classifier_ = build_c(
+            self.classifier_ = build_classifier(
                 side, config.base_channels, rng, n_labels=len(label_names),
-                dtype=dtype,
+                dtype=dtype, rank=rank,
             )
             label_cell = [
                 self.matrixizer_.feature_position(table.schema.index(name))

@@ -2,12 +2,7 @@
 
 from repro.data.encoding import MinMaxCodec, TableCodec
 from repro.data.io import read_csv, write_csv
-from repro.data.matrixizer import (
-    Matrixizer,
-    Vectorizer,
-    length_for_features,
-    side_for_features,
-)
+from repro.data.matrixizer import Matrixizer, side_for_features
 from repro.data.schema import ColumnKind, ColumnRole, ColumnSpec, TableSchema
 from repro.data.splits import train_test_split
 from repro.data.table import Table
@@ -21,9 +16,7 @@ __all__ = [
     "MinMaxCodec",
     "TableCodec",
     "Matrixizer",
-    "Vectorizer",
     "side_for_features",
-    "length_for_features",
     "train_test_split",
     "read_csv",
     "write_csv",

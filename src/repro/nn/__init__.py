@@ -18,8 +18,7 @@ from contextlib import contextmanager
 
 from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Tanh
 from repro.nn.batchnorm import BatchNorm, reference_batchnorm
-from repro.nn.conv import Conv2D, ConvTranspose2D
-from repro.nn.conv1d import Conv1D, ConvTranspose1D
+from repro.nn.conv import Conv1D, Conv2D, ConvTranspose1D, ConvTranspose2D
 from repro.nn.flatbuf import FlatParameterBuffer
 from repro.nn.im2col import cols_from_reference, cols_to_reference, reference_ops
 from repro.nn.layers import Dense, Flatten, Layer, Parameter, Reshape

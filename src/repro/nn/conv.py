@@ -1,20 +1,37 @@
-"""Convolution layers: strided Conv2D and ConvTranspose2D.
+"""Convolution layers: strided convolutions and their transposes, at any record rank.
 
-Both are built on the blocked batch-major im2col/col2im engine
-(:mod:`repro.nn.im2col`).  A transposed convolution's forward pass is
+One rank-generic pair, :class:`Conv` and :class:`ConvTranspose`, holds
+every kernel; the public classes are sibling subclasses that fix only the
+spatial rank and the parameter-name prefix:
+
+* :class:`Conv2D` / :class:`ConvTranspose2D` over ``(N, C, H, W)`` — the
+  paper's d×d record matrices (§3.2);
+* :class:`Conv1D` / :class:`ConvTranspose1D` over ``(N, C, L)`` — the
+  "original vector format" that §3.2 step 1 found sub-optimal, kept as a
+  reproducible ablation (``TableGanConfig(layout="vector")``).
+
+Siblings, not ``Conv1D(Conv2D)``: code that dispatches on or wraps one
+rank's class (``isinstance``, class-level instrumentation) never sees the
+other.  The prefixes (``conv``, ``deconv``, ``conv1d``, ``deconv1d``) are
+embedded in ``state_dict`` keys, so saved ``.npz`` files and registry
+artifacts stay loadable.
+
+All layers run on the blocked batch-major im2col/col2im engine
+(:mod:`repro.nn.im2col`), whose plans (:mod:`repro.nn.plan`) handle one
+or two spatial dimensions.  A transposed convolution's forward pass is
 exactly the backward (input-gradient) pass of a normal convolution with
 the same geometry, and vice versa — the implementation exploits that
 symmetry so the two layers share all index computations (memoized per
-record geometry in :mod:`repro.nn.plan`).
+record geometry).
 
 Under the batch-major column convention the hot matricizations are
 views:
 
-* ``Conv2D.backward`` feeds the weight GEMM the *view*
+* ``Conv.backward`` feeds the weight GEMM the *view*
   ``grad.reshape(N, C_out, P)`` (exposed as ``_grad_mat`` for the layout
   tests) — the seed layout forced a whole-batch ``transpose(...).reshape``
   copy here;
-* ``ConvTranspose2D.forward`` projects the *view*
+* ``ConvTranspose.forward`` projects the *view*
   ``x.reshape(N, C_in, P)`` (exposed as ``_x_mat``) through the kernel.
 
 Both layers run blocked: every forward/backward loops over batch blocks
@@ -26,14 +43,15 @@ training mode.  Conv outputs are written contiguously (NCHW), which lets
 the downstream ``Flatten`` at the discriminator's feature layer return a
 view.
 
-The seed implementations are retained verbatim as the layers'
-``_reference_*`` paths and selected by :func:`repro.nn.im2col.
+The seed implementations are retained as the layers' ``_reference_*``
+paths over the rank's oracle (``_reference_im2col``/``_reference_col2im``
+or their ``_1d`` twins) and selected by :func:`repro.nn.im2col.
 reference_ops` — that is how the engine benchmark replays the full
 seed-idiom data path (fancy gather, position-major columns, batch-last
 gradient copies, ``np.add.at`` scatter) on identical workloads.
 
-Shapes are NCHW.  DCGAN uses kernel 4, stride 2, padding 1 throughout,
-which exactly halves (conv) or doubles (deconv) spatial dimensions.
+DCGAN uses kernel 4, stride 2, padding 1 throughout, which exactly halves
+(conv) or doubles (deconv) every spatial dimension.
 """
 
 from __future__ import annotations
@@ -43,7 +61,9 @@ import numpy as np
 from repro.nn import initializers
 from repro.nn.im2col import (
     _reference_col2im,
+    _reference_col2im_1d,
     _reference_im2col,
+    _reference_im2col_1d,
     conv_gemm_backward,
     conv_gemm_forward,
     conv_output_size,
@@ -54,16 +74,23 @@ from repro.nn.im2col import (
 from repro.nn.layers import Layer, Parameter, channel_sum
 from repro.nn.plan import conv_plan
 
+#: The seed oracles per spatial rank: (im2col, col2im).
+_ORACLES = {
+    1: (_reference_im2col_1d, _reference_col2im_1d),
+    2: (_reference_im2col, _reference_col2im),
+}
+_SPATIAL_NAMES = {1: "L", 2: "H, W"}
 
-class Conv2D(Layer):
-    """2-D convolution with square kernel.
+
+class _Convolution(Layer):
+    """Constructor and input check shared by :class:`Conv` and :class:`ConvTranspose`.
 
     Parameters
     ----------
     in_channels, out_channels:
         Channel counts.
     kernel:
-        Square kernel size (DCGAN uses 4).
+        Kernel size along every spatial axis (DCGAN uses 4).
     stride, padding:
         Convolution geometry; must tile the input exactly.
     bias:
@@ -73,6 +100,11 @@ class Conv2D(Layer):
     dtype:
         Parameter dtype (the trainer's compute dtype; default float64).
     """
+
+    #: Spatial rank of the input records (1 for ``(N, C, L)``, 2 for NCHW).
+    rank: int
+    #: Parameter-name prefix (``"conv"``, ``"deconv1d"``, ...).
+    prefix: str
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int = 4,
                  stride: int = 2, padding: int = 1, bias: bool = True, rng=None,
@@ -86,33 +118,53 @@ class Conv2D(Layer):
         self.stride = stride
         self.padding = padding
         weight = initializers.dcgan_normal(
-            (out_channels, in_channels, kernel, kernel), rng, dtype=dtype
+            self._channel_dims() + (kernel,) * self.rank, rng, dtype=dtype
         )
-        self.weight = Parameter(weight, "conv.weight")
+        self.weight = Parameter(weight, f"{self.prefix}.weight")
         self.bias = (
-            Parameter(initializers.zeros((out_channels,), dtype=dtype), "conv.bias")
+            Parameter(initializers.zeros((out_channels,), dtype=dtype),
+                      f"{self.prefix}.bias")
             if bias else None
         )
         self.params = [self.weight] + ([self.bias] if bias else [])
+        self._ref_mode = False
+
+    def _channel_dims(self) -> tuple[int, int]:
+        raise NotImplementedError
+
+    def _check_input(self, x: np.ndarray) -> None:
+        if x.ndim != self.rank + 2 or x.shape[1] != self.in_channels:
+            raise ValueError(
+                f"expected (N, {self.in_channels}, {_SPATIAL_NAMES[self.rank]}) "
+                f"input, got {x.shape}"
+            )
+
+
+class Conv(_Convolution):
+    """Strided convolution over ``(N, C, *spatial)`` records of any rank.
+
+    The weight tensor has shape ``(out_channels, in_channels, k, ...)``
+    with one ``k`` per spatial axis.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
         self._grad_mat: np.ndarray | None = None
-        self._ref_mode = False
         #: Persistent backing buffer for the cached patch-matrix blocks.
         self._cache_ws: dict = {}
 
-    def output_shape(self, height: int, width: int) -> tuple[int, int]:
-        """Spatial output size for an input of ``height`` × ``width``."""
-        return (
-            conv_output_size(height, self.kernel, self.padding, self.stride),
-            conv_output_size(width, self.kernel, self.padding, self.stride),
-        )
+    def _channel_dims(self) -> tuple[int, int]:
+        return self.out_channels, self.in_channels
+
+    def output_shape(self, *spatial: int) -> tuple[int, ...]:
+        """Spatial output size for an input of spatial size ``spatial``."""
+        return tuple(conv_output_size(size, self.kernel, self.padding, self.stride)
+                     for size in spatial)
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"expected (N, {self.in_channels}, H, W) input, got {x.shape}"
-            )
+        self._check_input(x)
         self._ref_mode = is_reference()
         if self._ref_mode:
             return self._reference_forward(x)
@@ -138,9 +190,9 @@ class Conv2D(Layer):
         if self.bias is not None:
             self.bias.grad += channel_sum(grad)
         plan = conv_plan(self._x_shape, self.kernel, self.padding, self.stride)
-        # The batch-major matricization is a reshape *view* of the NCHW
-        # gradient (asserted by the layout-contract tests) — the seed
-        # layout copied the whole gradient batch-last here.
+        # The batch-major matricization is a reshape *view* of the
+        # contiguous gradient (asserted by the layout-contract tests) —
+        # the seed layout copied the whole gradient batch-last here.
         grad_mat = grad.reshape(grad.shape[0], self.out_channels, -1)
         self._grad_mat = grad_mat
         w_mat = self.weight.data.reshape(self.out_channels, -1)
@@ -152,81 +204,61 @@ class Conv2D(Layer):
     # -- retained seed path (selected under reference_ops) ---------------
     def _reference_forward(self, x: np.ndarray) -> np.ndarray:
         batch = x.shape[0]
-        out_h, out_w = self.output_shape(x.shape[2], x.shape[3])
-        cols = _reference_im2col(x, self.kernel, self.padding, self.stride)
+        spatial = self.output_shape(*x.shape[2:])
+        im2col, _ = _ORACLES[self.rank]
+        cols = im2col(x, self.kernel, self.padding, self.stride)
         self._cols = cols
         self._x_shape = x.shape
         w_mat = self.weight.data.reshape(self.out_channels, -1)
-        out = w_mat @ cols  # (C_out, out_h*out_w*N) in seed column order
+        out = w_mat @ cols  # (C_out, P*N) in seed column order
         if self.bias is not None:
             out += self.bias.data[:, None]
-        return out.reshape(self.out_channels, out_h, out_w, batch).transpose(3, 0, 1, 2)
+        return np.moveaxis(out.reshape(self.out_channels, *spatial, batch), -1, 0)
 
     def _reference_backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
         if self.bias is not None:
-            self.bias.grad += grad.sum(axis=(0, 2, 3))
-        grad_mat = grad.transpose(1, 2, 3, 0).reshape(self.out_channels, -1)
+            self.bias.grad += grad.sum(axis=(0, *range(2, grad.ndim)))
+        grad_mat = np.moveaxis(grad, 0, -1).reshape(self.out_channels, -1)
         self.weight.grad += (grad_mat @ self._cols.T).reshape(self.weight.shape)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
         dcols = w_mat.T @ grad_mat
-        return _reference_col2im(dcols, self._x_shape, self.kernel,
-                                 self.padding, self.stride)
+        _, col2im = _ORACLES[self.rank]
+        return col2im(dcols, self._x_shape, self.kernel, self.padding, self.stride)
 
 
-class ConvTranspose2D(Layer):
-    """2-D transposed ("de-") convolution, the upsampling layer of DCGAN generators.
+class ConvTranspose(_Convolution):
+    """Transposed ("de-") convolution, the upsampling layer of DCGAN generators.
 
-    The forward pass scatters each input pixel through the kernel into the
-    (larger) output — the adjoint of :class:`Conv2D` — so spatial size grows
-    by the stride factor with DCGAN's (kernel=4, stride=2, padding=1)
-    geometry.
+    The forward pass scatters each input cell through the kernel into the
+    (larger) output — the adjoint of :class:`Conv` — so every spatial size
+    grows by the stride factor with DCGAN's (kernel=4, stride=2,
+    padding=1) geometry.
 
-    The weight tensor has shape ``(in_channels, out_channels, k, k)``,
+    The weight tensor has shape ``(in_channels, out_channels, k, ...)``,
     matching the convention where the deconvolution is the gradient of a
     convolution mapping ``out_channels -> in_channels``.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, kernel: int = 4,
-                 stride: int = 2, padding: int = 1, bias: bool = True, rng=None,
-                 dtype=np.float64):
-        super().__init__()
-        if min(in_channels, out_channels, kernel, stride) <= 0 or padding < 0:
-            raise ValueError("invalid convolution geometry")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel = kernel
-        self.stride = stride
-        self.padding = padding
-        weight = initializers.dcgan_normal(
-            (in_channels, out_channels, kernel, kernel), rng, dtype=dtype
-        )
-        self.weight = Parameter(weight, "deconv.weight")
-        self.bias = (
-            Parameter(initializers.zeros((out_channels,), dtype=dtype), "deconv.bias")
-            if bias else None
-        )
-        self.params = [self.weight] + ([self.bias] if bias else [])
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._x: np.ndarray | None = None
         self._x_mat: np.ndarray | None = None
         self._out_shape: tuple[int, ...] | None = None
-        self._ref_mode = False
 
-    def output_shape(self, height: int, width: int) -> tuple[int, int]:
-        """Spatial output size for an input of ``height`` × ``width``."""
-        out_h = (height - 1) * self.stride - 2 * self.padding + self.kernel
-        out_w = (width - 1) * self.stride - 2 * self.padding + self.kernel
-        return out_h, out_w
+    def _channel_dims(self) -> tuple[int, int]:
+        return self.in_channels, self.out_channels
+
+    def output_shape(self, *spatial: int) -> tuple[int, ...]:
+        """Spatial output size for an input of spatial size ``spatial``."""
+        return tuple((size - 1) * self.stride - 2 * self.padding + self.kernel
+                     for size in spatial)
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"expected (N, {self.in_channels}, H, W) input, got {x.shape}"
-            )
-        batch, _, in_h, in_w = x.shape
-        out_h, out_w = self.output_shape(in_h, in_w)
-        self._out_shape = (batch, self.out_channels, out_h, out_w)
+        self._check_input(x)
+        batch = x.shape[0]
+        self._out_shape = (batch, self.out_channels, *self.output_shape(*x.shape[2:]))
         self._ref_mode = is_reference()
         if self._ref_mode:
             return self._reference_forward(x)
@@ -264,30 +296,58 @@ class ConvTranspose2D(Layer):
     def _reference_forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
         self._x_mat = None
-        batch = x.shape[0]
         # Treat x as the "output gradient" of the adjoint convolution:
-        # columns = W^T @ x, then fold into the larger output image.
-        w_mat = self.weight.data.reshape(self.in_channels, -1)  # (C_in, C_out*k*k)
-        x_mat = x.transpose(1, 2, 3, 0).reshape(self.in_channels, -1)
-        cols = w_mat.T @ x_mat  # (C_out*k*k, in_h*in_w*N) in seed column order
-        out = _reference_col2im(cols, self._out_shape, self.kernel,
-                                self.padding, self.stride)
+        # columns = W^T @ x, then fold into the larger output record.
+        w_mat = self.weight.data.reshape(self.in_channels, -1)  # (C_in, C_out*k^r)
+        x_mat = np.moveaxis(x, 0, -1).reshape(self.in_channels, -1)
+        cols = w_mat.T @ x_mat  # (C_out*k^r, P_in*N) in seed column order
+        _, col2im = _ORACLES[self.rank]
+        out = col2im(cols, self._out_shape, self.kernel, self.padding, self.stride)
         if self.bias is not None:
-            out += self.bias.data.reshape(1, -1, 1, 1)
+            out += self.bias.data.reshape((1, -1) + (1,) * self.rank)
         return out
 
     def _reference_backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None or self._out_shape is None:
             raise RuntimeError("backward called before forward")
         if self.bias is not None:
-            self.bias.grad += grad.sum(axis=(0, 2, 3))
-        batch, _, in_h, in_w = self._x.shape
+            self.bias.grad += grad.sum(axis=(0, *range(2, grad.ndim)))
+        batch = self._x.shape[0]
         # Input gradient: a plain convolution of grad with the kernel.
-        grad_cols = _reference_im2col(grad, self.kernel, self.padding, self.stride)
+        im2col, _ = _ORACLES[self.rank]
+        grad_cols = im2col(grad, self.kernel, self.padding, self.stride)
         w_mat = self.weight.data.reshape(self.in_channels, -1)
-        dx = w_mat @ grad_cols  # (C_in, in_h*in_w*N) in seed column order
-        dx = dx.reshape(self.in_channels, in_h, in_w, batch).transpose(3, 0, 1, 2)
+        dx = w_mat @ grad_cols  # (C_in, P_in*N) in seed column order
+        dx = np.moveaxis(dx.reshape(self.in_channels, *self._x.shape[2:], batch), -1, 0)
         # Weight gradient: correlate input activations with output gradient patches.
-        x_mat = self._x.transpose(1, 2, 3, 0).reshape(self.in_channels, -1)
+        x_mat = np.moveaxis(self._x, 0, -1).reshape(self.in_channels, -1)
         self.weight.grad += (x_mat @ grad_cols.T).reshape(self.weight.shape)
         return dx
+
+
+class Conv2D(Conv):
+    """2-D convolution with square kernel over NCHW record matrices."""
+
+    rank = 2
+    prefix = "conv"
+
+
+class ConvTranspose2D(ConvTranspose):
+    """2-D transposed convolution over NCHW record matrices."""
+
+    rank = 2
+    prefix = "deconv"
+
+
+class Conv1D(Conv):
+    """Strided 1-D convolution over (N, C, L) record vectors."""
+
+    rank = 1
+    prefix = "conv1d"
+
+
+class ConvTranspose1D(ConvTranspose):
+    """Strided 1-D transposed convolution (adjoint of :class:`Conv1D`)."""
+
+    rank = 1
+    prefix = "deconv1d"

@@ -61,8 +61,8 @@ Two implementations live here:
   tests and the engine benchmark.
 
 ``im2col``/``col2im`` accept both 4-D ``(N, C, H, W)`` and 3-D
-``(N, C, L)`` inputs, so the 1-D layers in :mod:`repro.nn.conv1d` share
-the same engine.  All index arithmetic is memoized per record geometry in
+``(N, C, L)`` inputs, so the rank-generic layers in :mod:`repro.nn.conv`
+run both record ranks on the same engine.  All index arithmetic is memoized per record geometry in
 :mod:`repro.nn.plan` (:func:`~repro.nn.plan.conv_plan`), so the hot loop
 never recomputes gather/scatter indices.  The :func:`reference_ops`
 context manager flips the public functions (and the conv layers) onto the

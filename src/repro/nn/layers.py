@@ -188,7 +188,14 @@ class Dense(Layer):
         if x.ndim != 2:
             raise ValueError(f"Dense expects 2-D input, got shape {x.shape}")
         self._x = x
-        out = x @ self.weight.data
+        if not training and x.shape[0] == 1:
+            # numpy hands a one-row product to BLAS gemv, which sums in a
+            # different order than the gemm of every larger batch.  A
+            # two-row gemm keeps an inference row's bits independent of
+            # how many rows share its forward (training keeps its bits).
+            out = (np.concatenate((x, x)) @ self.weight.data)[:1]
+        else:
+            out = x @ self.weight.data
         if self.bias is not None:
             out = out + self.bias.data
         return out

@@ -23,12 +23,12 @@ batch-free: the memo key is ``(channels, *spatial, kernel, padding,
 stride)``, so one plan serves every batch size of the same record
 geometry — training mini-batches, single-row serving requests, and the
 blocked engine's partial tail blocks all hit the same cache entry.
-Plans are memoized with :func:`functools.lru_cache`; the three conv layer
-families (``Conv2D``, ``ConvTranspose2D`` and the 1-D pair in
-:mod:`repro.nn.conv1d`) share index computations across layers, batches,
-and training steps (``plan_cache_info`` exposes the counters;
-``clear_plan_cache`` frees the cached index arrays, which benchmarks call
-to measure cold-start behaviour honestly).  One plan handles one or two
+Plans are memoized with :func:`functools.lru_cache`; the conv layers of
+:mod:`repro.nn.conv` (``Conv``/``ConvTranspose`` at rank 1 and 2) share
+index computations across layers, batches, and training steps
+(``plan_cache_info`` exposes the counters; ``clear_plan_cache`` frees the
+cached index arrays, which benchmarks call to measure cold-start
+behaviour honestly).  One plan handles one or two
 spatial dimensions; ``x_shape`` is ``(N, C, L)`` or ``(N, C, H, W)``.
 
 The plan is what the fast/reference testing contract hangs off: the fast

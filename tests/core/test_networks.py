@@ -28,6 +28,12 @@ class TestGenerator:
     def test_rejects_non_power_of_two_side(self):
         with pytest.raises(ValueError, match="power of two"):
             build_generator(12, 100, 8)
+
+    def test_rejects_unknown_rank(self):
+        with pytest.raises(ValueError, match="rank"):
+            build_generator(8, 100, 8, rank=3)
+        with pytest.raises(ValueError, match="rank"):
+            build_discriminator(8, 8, rank=0)
         with pytest.raises(ValueError, match="power of two"):
             build_generator(2, 100, 8)
 

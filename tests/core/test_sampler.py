@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.sampler import RecordSampler
+from repro.core.tablegan import build_generator_for
 
 
 @pytest.fixture()
@@ -63,6 +64,32 @@ class TestSampling:
                 trained_gan.matrixizer_, trained_gan.config.latent_dim,
                 batch_size=0,
             )
+
+    def test_one_row_batches_match_bulk_batches(self, sampler):
+        """Float32 rows do not depend on how many rows share a forward."""
+        assert sampler._dtype == np.float32
+        one = sampler.sample_records(300, rng=np.random.default_rng(2), batch_size=1)
+        bulk = sampler.sample_records(300, rng=np.random.default_rng(2),
+                                      batch_size=256)
+        assert np.array_equal(one, bulk)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("batch_size", [7, 25])
+    def test_sampled_equals_forwarded_latents(self, trained_gan, dtype, batch_size):
+        """sample_matrices == matrices_from_latents of the same latent draws,
+        whether or not the batch size divides n."""
+        config = trained_gan.config.with_overrides(dtype=dtype)
+        sampler = RecordSampler(
+            build_generator_for(config, trained_gan.matrixizer_.side),
+            trained_gan.codec_, trained_gan.matrixizer_, config.latent_dim,
+        )
+        z = np.random.default_rng(4).uniform(-1.0, 1.0, (50, config.latent_dim))
+        sampled = sampler.sample_matrices(50, rng=np.random.default_rng(4),
+                                          batch_size=batch_size)
+        assert sampled.dtype == np.dtype(dtype)
+        assert np.array_equal(
+            sampled, sampler.matrices_from_latents(z, batch_size=batch_size)
+        )
 
 
 class TestInferenceMode:

@@ -5,9 +5,9 @@ import pytest
 
 from repro.core.config import TableGanConfig
 from repro.core.networks import (
-    build_classifier_1d,
-    build_discriminator_1d,
-    build_generator_1d,
+    build_classifier,
+    build_discriminator,
+    build_generator,
 )
 from repro.core.trainer import TableGanTrainer
 
@@ -22,9 +22,10 @@ def tiny_config(**overrides):
 
 
 def make_trainer(config, length=8):
-    gen = build_generator_1d(length, config.latent_dim, config.base_channels, rng=0)
-    disc = build_discriminator_1d(length, config.base_channels, rng=1)
-    clf = build_classifier_1d(length, config.base_channels, rng=2)
+    gen = build_generator(length, config.latent_dim, config.base_channels, rng=0,
+                          rank=1)
+    disc = build_discriminator(length, config.base_channels, rng=1, rank=1)
+    clf = build_classifier(length, config.base_channels, rng=2, rank=1)
     return TableGanTrainer(gen, disc, clf, config, label_cell=(5,))
 
 

@@ -1,10 +1,9 @@
-"""Conv1D / ConvTranspose1D: geometry, gradients, adjointness."""
+"""Conv1D / ConvTranspose1D: the rank-1 conv layers' geometry, gradients, adjointness."""
 
 import numpy as np
 import pytest
 
 from repro.nn import Conv1D, ConvTranspose1D
-from repro.nn.conv1d import conv1d_output_size
 
 from tests.nn.gradcheck import check_input_grad, check_param_grads
 
@@ -17,9 +16,11 @@ class TestGeometry:
         assert deconv.forward(rng.standard_normal((2, 4, 8))).shape == (2, 1, 16)
 
     def test_output_size_validation(self):
-        assert conv1d_output_size(16, 4, 1, 2) == 8
+        conv = Conv1D(1, 1, kernel=4, stride=2, padding=1, rng=0)
+        assert conv.output_shape(16) == (8,)
+        assert ConvTranspose1D(1, 1, rng=0).output_shape(8) == (16,)
         with pytest.raises(ValueError, match="not exact"):
-            conv1d_output_size(5, 4, 1, 2)
+            conv.output_shape(5)
 
     def test_channel_validation(self, rng):
         with pytest.raises(ValueError, match="expected"):

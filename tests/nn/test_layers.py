@@ -29,6 +29,15 @@ class TestDense:
         expected = x @ layer.weight.data + layer.bias.data
         assert np.allclose(out, expected)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_row_inference_matches_its_batched_row(self, dtype):
+        """A one-row inference forward must not change that row's bits
+        (numpy would otherwise hand it to BLAS gemv, not gemm)."""
+        layer = Dense(100, 512, rng=0, dtype=dtype)
+        x = np.random.default_rng(1).standard_normal((3, 100)).astype(dtype)
+        batched = layer.forward(x, training=False)
+        assert np.array_equal(layer.forward(x[:1], training=False), batched[:1])
+
     def test_input_gradient(self, rng):
         layer = Dense(6, 4, rng=1)
         check_input_grad(layer, rng.standard_normal((3, 6)))

@@ -219,14 +219,28 @@ class TestVersioning:
         )
 
 
+@pytest.fixture(scope="module")
+def vector_registry(tmp_path_factory, adult_bundle, tiny_gan_config):
+    """A registry holding a vector-layout (rank-1) tiny GAN as ``tiny``."""
+    gan = TableGAN(tiny_gan_config.with_overrides(layout="vector"))
+    gan.fit(adult_bundle.train)
+    registry = ModelRegistry(tmp_path_factory.mktemp("vector-registry"))
+    registry.register("tiny", gan)
+    return registry, gan
+
+
 class TestRoundTrip:
-    def test_load_samples_bit_identical(self, populated_registry, trained_gan):
-        """train -> register -> load -> sample equals the original model."""
-        loaded = populated_registry.load("tiny")
-        want = trained_gan.sample(25, rng=np.random.default_rng(3))
-        got = loaded.sample(25, rng=np.random.default_rng(3))
-        assert np.array_equal(want.values, got.values)
-        assert got.schema == want.schema
+    def test_load_samples_bit_identical(self, populated_registry, trained_gan,
+                                        vector_registry):
+        """train -> register -> load -> sample equals the original model, in
+        the square layout and in the vector layout."""
+        for registry, model in ((populated_registry, trained_gan), vector_registry):
+            loaded = registry.load("tiny")
+            assert loaded.matrixizer_.rank == model.matrixizer_.rank
+            want = model.sample(25, rng=np.random.default_rng(3))
+            got = loaded.sample(25, rng=np.random.default_rng(3))
+            assert np.array_equal(want.values, got.values)
+            assert got.schema == want.schema
 
     def test_loaded_model_serves_without_training_table(self,
                                                         populated_registry):

@@ -131,6 +131,27 @@ class TestReplenish:
         )
         assert np.array_equal(got.values, direct.values)
 
+    def test_read_ahead_timing_does_not_change_the_stream(self, trained_gan):
+        """A read-ahead after the 513-row request tops a 1024-row pool up by
+        513 rows, the last forwarded alone; one request later it generates
+        514.  Both streams equal the direct draw (float32 model)."""
+        counts = (513, 1, 600, 600)
+
+        def stream(read_ahead_after):
+            service = SynthesisService(trained_gan, pool_size=1024, seed=9)
+            parts = []
+            for i, n in enumerate(counts):
+                parts.append(service.sample_records(n))
+                if i == read_ahead_after:
+                    service.replenish()
+            return np.concatenate(parts)
+
+        direct = trained_gan.record_sampler().sample_records(
+            sum(counts), rng=np.random.default_rng(9)
+        )
+        assert np.array_equal(stream(0), direct)
+        assert np.array_equal(stream(1), direct)
+
     def test_replenish_disabled_without_pool(self, trained_gan):
         service = SynthesisService(trained_gan, pool_size=0, seed=6)
         assert service.replenish() == 0
