@@ -26,6 +26,10 @@ serving verbs (``serve-registry``, ``synth``, ``serve``) need no dataset at
 all: the model registry persists schema and codec state alongside the
 weights.  ``serve`` runs the long-lived HTTP server until SIGTERM/SIGINT,
 then drains in-flight requests before exiting.
+
+Each verb imports the modules it needs when it runs, so ``synth``,
+``train`` and ``sample`` never load the HTTP server, the evaluation
+suite or the privacy attacks.
 """
 
 from __future__ import annotations
@@ -41,22 +45,8 @@ import time
 import numpy as np
 
 from repro import TableGAN, TableGanConfig, high_privacy, low_privacy, mid_privacy
-from repro.core.checkpoint import TrainerCheckpointer, TrainingInterrupted
 from repro.data.datasets import DATASET_NAMES, DEFAULT_ROWS, PAPER_ROWS, load_dataset
 from repro.data.io import write_csv
-from repro.evaluation import classification_compatibility, mean_area_distance
-from repro.evaluation.compatibility import classifier_suite
-from repro.evaluation.reporting import format_table
-from repro.obs import trace
-from repro.privacy import MembershipAttack, dcr, dcr_sensitive_only
-from repro.serve import (
-    CsvSink,
-    ModelRegistry,
-    NpzSink,
-    ShardedSampler,
-    SynthesisServer,
-    split_ref,
-)
 
 _PRIVACY_PRESETS = {"low": low_privacy, "mid": mid_privacy, "high": high_privacy}
 
@@ -98,6 +88,8 @@ def _load_bundle(args):
 
 def cmd_datasets(args) -> int:
     """List datasets with their paper-scale and default row counts."""
+    from repro.evaluation.reporting import format_table
+
     rows = [
         (name, str(PAPER_ROWS[name]), str(DEFAULT_ROWS[name]))
         for name in DATASET_NAMES
@@ -108,6 +100,9 @@ def cmd_datasets(args) -> int:
 
 def cmd_train(args) -> int:
     """Train a table-GAN, save the generator, and/or register it for serving."""
+    from repro.core.checkpoint import TrainerCheckpointer, TrainingInterrupted
+    from repro.serve import ModelRegistry, split_ref
+
     registry = ModelRegistry(args.registry) if args.register else None
     if registry is not None:
         # Validate the reference now: a bad --register must fail in
@@ -197,6 +192,11 @@ def cmd_sample(args) -> int:
 
 def cmd_evaluate(args) -> int:
     """Train, sample, and print the three-axis evaluation summary."""
+    from repro.evaluation import classification_compatibility, mean_area_distance
+    from repro.evaluation.compatibility import classifier_suite
+    from repro.evaluation.reporting import format_table
+    from repro.privacy import dcr, dcr_sensitive_only
+
     bundle = _load_bundle(args)
     gan = TableGAN(_config_from_args(args))
     print(f"training on {args.dataset} ...")
@@ -225,6 +225,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_attack(args) -> int:
     """Train a target and run the §4.5 membership attack against it."""
+    from repro.evaluation.reporting import format_table
+    from repro.privacy import MembershipAttack
+
     bundle = _load_bundle(args)
     config = _config_from_args(args)
     print(f"training target table-GAN on {args.dataset} ...")
@@ -247,6 +250,9 @@ def cmd_attack(args) -> int:
 
 def cmd_serve_registry(args) -> int:
     """List, inspect, or delete models in the serving registry."""
+    from repro.evaluation.reporting import format_table
+    from repro.serve import ModelRegistry
+
     registry = ModelRegistry(args.registry)
     if args.delete:
         registry.delete(args.delete)
@@ -282,6 +288,9 @@ def cmd_serve_registry(args) -> int:
 
 def cmd_synth(args) -> int:
     """Stream synthetic rows from a registered model to CSV or NPZ."""
+    from repro.serve.sharding import ShardedSampler
+    from repro.serve.sinks import CsvSink, NpzSink
+
     sampler = ShardedSampler(args.registry, args.model_name,
                              shard_rows=args.shard_rows)
     schema = sampler.schema
@@ -301,6 +310,9 @@ def cmd_synth(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the long-lived synthesis HTTP server until SIGTERM/SIGINT."""
+    from repro.obs import trace
+    from repro.serve import ModelRegistry, SynthesisServer
+
     registry = ModelRegistry(args.registry)
     names = registry.names()
     budget = (args.memory_budget_mb * (1 << 20)
@@ -371,6 +383,9 @@ def cmd_quality(args) -> int:
     without it, the registry manifest's frozen reference statistics are
     printed — what serving-time drift will be scored against.
     """
+    from repro.evaluation.reporting import format_table
+    from repro.serve import ModelRegistry
+
     if args.url:
         import urllib.error
         import urllib.parse
@@ -488,6 +503,8 @@ def _print_trace_tree(spans, events, trace_id: str) -> int:
 
 def cmd_trace(args) -> int:
     """Summarize a span JSONL log (written by ``serve --trace-log``)."""
+    from repro.evaluation.reporting import format_table
+
     records = []
     try:
         with open(args.path, encoding="utf-8") as handle:

@@ -78,6 +78,11 @@ class ChunkedTableGAN:
         merged = Table(values, parts[0].schema)
         return merged.take(rng.permutation(merged.n_rows))
 
+    def sample_blocks(self, n: int, rng=None):
+        """Yield :meth:`sample`'s rows as one block: the merged rows are
+        permuted, so no row is final before every sub-model has sampled."""
+        yield self.sample(n, rng)
+
     @property
     def train_seconds_(self) -> float:
         """Total training time across chunks (sequential execution)."""

@@ -218,6 +218,22 @@ class TableGAN:
         rng = ensure_rng(rng if rng is not None else self.config.seed)
         return sampler.sample_table(n, rng)
 
+    def sample_blocks(self, n: int, rng=None):
+        """Yield :meth:`sample`'s rows as Tables of the sampler's
+        ``batch_size`` rows (the last may be shorter), each as soon as it
+        is decoded.
+
+        Block ``k`` is chunk ``k`` of :meth:`sample` with the same ``rng``:
+        the same latent draws in the same order through the same generator
+        forward, so the blocks concatenate to its rows bit for bit.
+        """
+        if n <= 0:
+            raise ValueError(f"n must be positive, got {n}")
+        sampler = self._get_sampler()
+        rng = ensure_rng(rng if rng is not None else self.config.seed)
+        for start in range(0, n, sampler.batch_size):
+            yield sampler.sample_table(min(sampler.batch_size, n - start), rng)
+
     def sample_encoded(self, n: int, rng=None) -> np.ndarray:
         """Draw ``n`` synthetic records in the encoded [-1, 1] space."""
         sampler = self._get_sampler()

@@ -17,6 +17,20 @@ from repro.data.table import Table
 from repro.utils.validation import check_fitted
 
 
+def _clip(values: np.ndarray, lo, hi) -> None:
+    """``np.clip(values, lo, hi)`` in place, with per-column bounds.
+
+    Only values strictly outside a bound are replaced.  That is what
+    ``np.clip`` does with scalar bounds; with array bounds it returns the
+    bound for a value equal to it, so ``-0.0`` at a bound of ``0`` would
+    become ``+0.0``.
+    """
+    lo = np.asarray(lo, dtype=values.dtype)
+    hi = np.asarray(hi, dtype=values.dtype)
+    np.copyto(values, lo, where=values < lo)
+    np.copyto(values, hi, where=values > hi)
+
+
 class MinMaxCodec:
     """Affine map of one column onto [lo, hi] (default [-1, 1]).
 
@@ -117,21 +131,41 @@ class TableCodec:
         return out
 
     def decode(self, matrix: np.ndarray) -> Table:
-        """Decode a feature-range matrix back into a schema-valid Table."""
+        """Decode a feature-range matrix back into a schema-valid Table.
+
+        Whole-matrix operations with per-column vectors, so the cost does
+        not grow with the column count.  Each column gets exactly what
+        :meth:`MinMaxCodec.decode`, ``np.rint`` and ``np.clip`` give it:
+        clip to the feature range, the affine inverse, rounding of
+        discrete and categorical columns, then clipping of categorical
+        codes into the vocabulary.
+        """
         check_fitted(self, "codecs_")
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != self.schema_.n_columns:
+        out = np.array(matrix, dtype=np.float64)
+        if out.ndim != 2 or out.shape[1] != self.schema_.n_columns:
             raise ValueError(
-                f"expected (n, {self.schema_.n_columns}) matrix, got {matrix.shape}"
+                f"expected (n, {self.schema_.n_columns}) matrix, got {out.shape}"
             )
-        out = np.empty_like(matrix)
-        for j, (codec, spec) in enumerate(zip(self.codecs_, self.schema_.columns)):
-            col = codec.decode(matrix[:, j])
-            if spec.kind in (ColumnKind.DISCRETE, ColumnKind.CATEGORICAL):
-                col = np.rint(col)
-            if spec.kind is ColumnKind.CATEGORICAL:
-                col = np.clip(col, 0, spec.n_categories - 1)
-            out[:, j] = col
+        codecs, columns = self.codecs_, self.schema_.columns
+        lo = np.array([codec.lo for codec in codecs])
+        hi = np.array([codec.hi for codec in codecs])
+        _clip(out, lo, hi)
+        out -= lo
+        out /= hi - lo
+        out *= [codec._span for codec in codecs]
+        out += [codec.data_min_ for codec in codecs]
+        # Gather, round, scatter: ``np.rint(..., where=mask)`` runs a
+        # masked element-by-element loop ~10x slower than this.
+        rounded = [j for j, spec in enumerate(columns)
+                   if spec.kind is not ColumnKind.CONTINUOUS]
+        if rounded:
+            out[:, rounded] = np.rint(out[:, rounded])
+        categorical = [j for j, spec in enumerate(columns)
+                       if spec.kind is ColumnKind.CATEGORICAL]
+        if categorical:
+            codes = out[:, categorical]
+            _clip(codes, 0.0, [columns[j].n_categories - 1.0 for j in categorical])
+            out[:, categorical] = codes
         return Table(out, self.schema_)
 
     def label_position(self) -> int:

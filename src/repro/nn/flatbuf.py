@@ -24,9 +24,18 @@ Networks built by :mod:`repro.core.networks` use a single compute dtype
 (``TableGanConfig.dtype``), so in practice one network means one buffer
 pair; the per-dtype grouping keeps the container correct for mixed-dtype
 parameter lists.
+
+Each parameter points at its buffer (``Parameter.flat_buffer``), and the
+buffer reaches its parameters only through weak references.  So nothing
+forms a reference cycle: a dropped network frees its parameters and its
+buffers at once, without waiting for the cyclic garbage collector.
+Whoever steps the buffer (an optimizer) holds it, and its parameters,
+strongly.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -36,11 +45,11 @@ from repro.nn.layers import Parameter
 class _DtypeGroup:
     """All parameters of one dtype, viewing one (data, grad) buffer pair."""
 
-    __slots__ = ("dtype", "data", "grad", "params", "slices")
+    __slots__ = ("dtype", "data", "grad", "_params", "slices")
 
     def __init__(self, dtype: np.dtype, params: list[Parameter]):
         self.dtype = dtype
-        self.params = params
+        self._params = [weakref.ref(p) for p in params]
         total = sum(p.data.size for p in params)
         self.data = np.empty(total, dtype=dtype)
         self.grad = np.empty(total, dtype=dtype)
@@ -80,9 +89,11 @@ class _DtypeGroup:
         if grad is not None:
             grad[...] = self.grad
             self.grad = grad
-        for p, view in zip(self.params, self.slices):
-            p.data = self.data[view].reshape(p.data.shape)
-            p.grad = self.grad[view].reshape(p.data.shape)
+        for ref, view in zip(self._params, self.slices):
+            p = ref()
+            if p is not None:
+                p.data = self.data[view].reshape(p.data.shape)
+                p.grad = self.grad[view].reshape(p.data.shape)
 
 
 class FlatParameterBuffer:
@@ -123,13 +134,18 @@ class FlatParameterBuffer:
                     f"existing one) instead of flattening again"
                 )
             seen.add(id(p))
-        self.params = params
+        self._params = [weakref.ref(p) for p in params]
         by_dtype: dict[np.dtype, list[Parameter]] = {}
         for p in params:
             by_dtype.setdefault(p.data.dtype, []).append(p)
         self.groups = [_DtypeGroup(dtype, ps) for dtype, ps in by_dtype.items()]
         for p in params:
             p.flat_buffer = self
+
+    @property
+    def params(self) -> list[Parameter]:
+        """The flattened parameters that are still alive, in order."""
+        return [p for p in (ref() for ref in self._params) if p is not None]
 
     @staticmethod
     def owner_of(params: list[Parameter]) -> "FlatParameterBuffer | None":

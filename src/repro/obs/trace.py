@@ -6,8 +6,8 @@ Same discipline as :mod:`repro.utils.faults`: a module-global
 no-op singleton — the hot paths keep their seams permanently.  Armed
 (:func:`arm`, or the :func:`tracing` context manager), spans carry
 ``trace_id``/``span_id``/``parent`` through a :class:`contextvars.ContextVar`
-and are written as one JSON object per line to a file or an in-memory
-list.
+and are written as one JSON object per line to a file, or appended as
+dicts, unserialized, to an in-memory list.
 
 Cross-thread propagation is explicit: a producer captures
 :func:`current` into its queue entry, the consumer re-enters it with
@@ -136,7 +136,11 @@ class _Attach:
 
 
 class Tracer:
-    """Serializes span records to a JSONL file or an append-only list.
+    """Serializes span records to a JSONL file, or appends them unserialized
+    to a list.
+
+    A list sink holds each record as the dict a file sink would write as
+    one JSON line (``json.loads`` of that line gives it back).
 
     File sinks support size-capped rotation: when ``max_bytes`` is set
     and the live file would exceed it, the tracer shifts ``path.N`` →
@@ -175,18 +179,22 @@ class Tracer:
         self.rotations += 1
 
     def _write(self, record):
+        if self._sink is not None:
+            # An in-memory sink keeps the record itself: no JSON line is
+            # built only to be dropped.
+            with self._lock:
+                self.emitted += 1
+                self._sink.append(record)
+            return
         line = json.dumps(record, separators=(",", ":")) + "\n"
         with self._lock:
             self.emitted += 1
-            if self._file is not None:
-                if (self._max_bytes is not None
-                        and self._file.tell() + len(line) > self._max_bytes
-                        and self._file.tell() > 0):
-                    self._rotate_locked()
-                self._file.write(line)
-                self._file.flush()
-            else:
-                self._sink.append(record)
+            if (self._max_bytes is not None
+                    and self._file.tell() + len(line) > self._max_bytes
+                    and self._file.tell() > 0):
+                self._rotate_locked()
+            self._file.write(line)
+            self._file.flush()
 
     def close(self):
         with self._lock:

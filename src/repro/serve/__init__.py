@@ -33,20 +33,18 @@ from repro.serve.registry import (
     RegistryError,
     split_ref,
 )
-from repro.serve.server import (
-    CircuitOpenError,
-    ClientError,
-    CoalescingBatcher,
-    ModelRouter,
-    ProtocolError,
-    QueueSaturated,
-    ServerError,
-    SynthesisClient,
-    SynthesisServer,
-)
 from repro.serve.service import ServiceStats, SynthesisService
 from repro.serve.sharding import Shard, ShardedSampler, plan_shards
 from repro.serve.sinks import CsvSink, NpzSink, read_npz_chunks
+
+#: Names resolved from :mod:`repro.serve.server` on first access (PEP 562),
+#: so that exporting, sampling and training import no HTTP, email or TLS
+#: modules: only ``repro serve`` loads the HTTP tier.
+_SERVER_NAMES = frozenset({
+    "CircuitOpenError", "ClientError", "CoalescingBatcher", "ModelRouter",
+    "ProtocolError", "QueueSaturated", "ServerError", "SynthesisClient",
+    "SynthesisServer",
+})
 
 __all__ = [
     "ModelRegistry",
@@ -71,3 +69,11 @@ __all__ = [
     "NpzSink",
     "read_npz_chunks",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SERVER_NAMES:
+        from repro.serve import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,9 +23,13 @@ parent reads the schema from the manifest and never loads the model.
 
 When the sink names a ``chunk_renderer`` (a CSV sink does), each pool
 worker also renders its shard, and the parent only writes the bytes in
-shard order.  The in-process path hands the sink raw values, which it
-renders and writes block by block, so its first row does not wait for a
-whole shard.
+shard order.  In-process (one worker, or one shard) such a sink gets each
+shard block by block instead: every ``RecordSampler.batch_size`` block is
+handed over as soon as it is decoded, drawn in order from the shard's RNG,
+so the first row waits for one block, not a whole shard.  A rendering
+sink's bytes do not depend on how the rows are split among writes; an
+:class:`~repro.serve.sinks.NpzSink` writes one member per write, so NPZ
+exports, like pooled ones, keep one hand-off per shard.
 
 Each pool worker takes ``max(1, cores // workers)`` BLAS threads (see
 :mod:`repro.utils.threads`), so ``N`` workers do not oversubscribe the
@@ -121,10 +125,10 @@ class ShardedSampler:
     name:
         Registered model name (``TableGAN`` or ``ChunkedTableGAN``).
     shard_rows:
-        Rows per shard.  Also the unit of streaming: sinks receive one
-        shard at a time, and at most ``IN_FLIGHT_PER_WORKER × workers``
-        more are dispatched ahead, so peak memory is
-        ``O(workers × shard_rows)``, not ``O(n)``.
+        Rows per shard.  Also the unit of streaming: sinks receive at most
+        one shard at a time (an in-process CSV sink one block), and at
+        most ``IN_FLIGHT_PER_WORKER × workers`` more are dispatched ahead,
+        so peak memory is ``O(workers × shard_rows)``, not ``O(n)``.
     start_method:
         ``multiprocessing`` start method; default ``fork`` where available
         (cheap on POSIX), else ``spawn``.
@@ -172,21 +176,27 @@ class ShardedSampler:
             ) from exc
 
     def _shard_chunks(self, shards, workers: int, render=None):
-        """Yield each shard's rows, in shard order.
+        """Yield the shards' rows, in shard order.
 
-        In-process that is the decoded value matrix; from a pool worker it
-        is ``render(values)`` when ``render`` is given.  With a pool, at
-        most ``IN_FLIGHT_PER_WORKER × workers`` shards are dispatched and
-        not yet yielded: a consumer slower than the workers stalls dispatch
+        ``render`` is the sink's ``chunk_renderer``, if it has one.  From a
+        pool worker a shard comes as ``render(values)``, or as its decoded
+        value matrix without ``render``.  In-process a shard comes as its
+        value matrix without ``render``, and block by block with it (see
+        the module docstring).  With a pool, at most
+        ``IN_FLIGHT_PER_WORKER × workers`` shards are dispatched and not
+        yet yielded: a consumer slower than the workers stalls dispatch
         instead of piling finished shards up in memory.
         """
         workers = min(int(workers), len(shards))
         if workers <= 1:
             model = self.model()
             for shard in shards:
-                yield model.sample(
-                    shard.rows, rng=np.random.default_rng(shard.seed)
-                ).values
+                rng = np.random.default_rng(shard.seed)
+                if render is None:
+                    yield model.sample(shard.rows, rng=rng).values
+                    continue
+                for block in model.sample_blocks(shard.rows, rng=rng):
+                    yield block.values
             return
         ctx = multiprocessing.get_context(self.start_method)
         with ctx.Pool(
@@ -224,7 +234,8 @@ class ShardedSampler:
         ``IN_FLIGHT_PER_WORKER × workers`` shards are dispatched and not yet
         written, and each shard is written and dropped as soon as its turn
         in the output order arrives.  Pool workers apply the sink's
-        ``chunk_renderer``, if it has one, before the hand-off.
+        ``chunk_renderer``, if it has one, before the hand-off; in-process,
+        such a sink is written block by block.
         """
         shards = plan_shards(n, self.shard_rows, seed)
         render = getattr(sink, "chunk_renderer", None)

@@ -103,6 +103,54 @@ class TestTableCodec:
         with pytest.raises(ValueError, match="schema"):
             codec.encode(other)
 
+    def test_decode_equals_the_per_column_loop_bit_for_bit(self):
+        """The whole-matrix decode against its oracle: each column through
+        :meth:`MinMaxCodec.decode`, ``np.rint`` and ``np.clip``."""
+        schema = TableSchema([
+            ColumnSpec("x", ColumnKind.CONTINUOUS, ColumnRole.SENSITIVE),
+            ColumnSpec("n", ColumnKind.DISCRETE, ColumnRole.SENSITIVE),
+            ColumnSpec("c", ColumnKind.CATEGORICAL, ColumnRole.QID,
+                       ("a", "b", "c")),
+            ColumnSpec("k", ColumnKind.CONTINUOUS, ColumnRole.SENSITIVE),
+            ColumnSpec("one", ColumnKind.CATEGORICAL, ColumnRole.QID, ("z",)),
+            ColumnSpec("y", ColumnKind.DISCRETE, ColumnRole.LABEL),
+        ])
+        # "k" is a constant column; "c" and "one" decode to codes past both
+        # ends of their vocabularies.
+        codec = TableCodec.from_ranges(schema, [-3.5, -2.0, -1.5, 4.0, -0.75, 0.0],
+                                       [12.25, 90.0, 3.5, 4.0, 0.5, 1.0])
+        rng = np.random.default_rng(5)
+        matrix = rng.uniform(-1.6, 1.6, (400, schema.n_columns))
+        specials = np.array([-0.0, 0.0, 1.0, -1.0, np.nan, np.inf, -np.inf,
+                             -1.0 - 1e-12, 1.0 + 1e-12, -0.5, 0.5])
+        picks = rng.random(matrix.shape) < 0.2
+        matrix[picks] = rng.choice(specials, picks.sum())
+        # -0.5 decodes "c" to -0.25, which rounds to -0.0: a value equal to
+        # the vocabulary's 0 bound, which the clip must keep as it is.
+        matrix[:4, 2] = [-1.6, -0.5, 0.5, 1.6]
+
+        def per_column(values):
+            out = np.empty(values.shape)
+            for j, (column, spec) in enumerate(zip(codec.codecs_,
+                                                   schema.columns)):
+                col = column.decode(values[:, j])
+                if spec.kind is not ColumnKind.CONTINUOUS:
+                    col = np.rint(col)
+                if spec.kind is ColumnKind.CATEGORICAL:
+                    col = np.clip(col, 0, spec.n_categories - 1)
+                out[:, j] = col
+            return out
+
+        want = per_column(matrix)
+        assert np.isnan(want).any()
+        assert list(want[:4, 2]) == [0.0, 0.0, 2.0, 2.0]
+        assert np.signbit(want[1, 2])
+        for values in (matrix, matrix.astype(np.float32), matrix[1:2]):
+            want = per_column(np.asarray(values, dtype=np.float64))
+            got = codec.decode(values).values
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
     def test_decode_wrong_width_raises(self):
         codec = TableCodec().fit(small_table())
         with pytest.raises(ValueError, match="expected"):

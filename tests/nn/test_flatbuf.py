@@ -1,8 +1,12 @@
 """FlatParameterBuffer: view aliasing, dtype grouping, optimizer interplay."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro import TableGAN
 from repro.nn import Adam, Dense, FlatParameterBuffer, Sequential
 from repro.nn.layers import Parameter
 
@@ -159,6 +163,39 @@ class TestSequentialIntegration:
         FlatParameterBuffer(params[:2])
         with pytest.raises(ValueError, match="partially overlapping"):
             FlatParameterBuffer.owner_of(params)
+
+
+class TestLifetime:
+    """A buffer lives as long as its parameters or its optimizer, and no
+    reference cycle keeps it past both."""
+
+    @pytest.fixture()
+    def collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_dropped_model_frees_its_buffers_without_the_collector(
+            self, collector_off, adult_bundle, tiny_gan_config):
+        gan = TableGAN(tiny_gan_config.with_overrides(epochs=1))
+        gan.fit(adult_bundle.train.head(64))
+        buffer = weakref.ref(gan.generator_.parameters()[0].flat_buffer)
+        assert buffer() is not None
+        del gan
+        assert buffer() is None
+
+    def test_the_optimizer_keeps_its_buffer_and_parameters(self,
+                                                           collector_off):
+        net = Sequential([Dense(3, 3, rng=0)])
+        opt = Adam(net.parameters(), lr=0.1)
+        buffer = weakref.ref(opt._flat)
+        del net
+        assert buffer() is opt._flat
+        assert len(opt._flat.params) == 2
+        opt.step()
+        del opt
+        assert buffer() is None
 
 
 class TestSharedMemoryPrimitives:

@@ -1,7 +1,10 @@
 """The tracing seam: disarmed no-ops, armed spans, context propagation."""
 
 import json
+import random
 import threading
+
+import pytest
 
 from repro.obs import trace
 
@@ -139,6 +142,45 @@ class TestArmed:
             assert tracer.emitted == 2
         lines = path.read_text().strip().splitlines()
         assert [json.loads(line)["name"] for line in lines] == ["a", "b"]
+
+    def test_list_and_file_sinks_hold_equal_records(self, tmp_path,
+                                                    monkeypatch):
+        """A list sink keeps each record unserialized: the same spans sent
+        to a file give the same records after ``json.loads`` of a line."""
+
+        class Clock:
+            def __init__(self):
+                self.now = 1_700_000_000.0
+
+            def time(self):
+                self.now += 0.00125
+                return self.now
+
+            perf_counter = time
+
+        def run(sink):
+            random.seed(3)
+            monkeypatch.setattr(trace, "time", Clock())
+            with trace.tracing(sink) as tracer:
+                with trace.span("outer", model="tiny", rows=4) as outer:
+                    started = trace.time.perf_counter()
+                    with trace.span("inner", hit=True, ratio=0.25):
+                        pass
+                    trace.emit("emitted", started, parent_span=None, n=None)
+                    outer.set(nested={"codes": [1, 2], "name": "é"})
+                    trace.log_event("worker_crash", pid=12)
+                with pytest.raises(KeyError), trace.span("failed"):
+                    raise KeyError("k")
+                return tracer.emitted
+
+        listed = []
+        path = tmp_path / "spans.jsonl"
+        assert run(listed) == run(str(path)) == 5
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == listed
+        assert [r["name"] for r in listed] == [
+            "inner", "emitted", "worker_crash", "outer", "failed"]
+        assert listed[-1]["attrs"] == {"error": "KeyError: 'k'"}
 
     def test_arm_disarm_round_trip(self):
         sink = []

@@ -13,7 +13,9 @@ import pytest
 
 from repro import ChunkedTableGAN, low_privacy
 from repro.cli import main
+from repro.core.sampler import RecordSampler
 from repro.core.tablegan import TableGAN
+from repro.data.datasets import load_dataset
 from repro.data.io import row_renderer
 from repro.data.schema import ColumnKind, ColumnRole, ColumnSpec, TableSchema
 from repro.data.table import Table
@@ -117,6 +119,114 @@ class TestSchema:
         loaded = registry.load("chunked")
         schema = ShardedSampler(registry, "chunked").schema
         assert all(schema == m.codec_.schema_ for m in loaded.models_)
+
+
+class _RecordingCsvSink(CsvSink):
+    """A CSV sink that records, per write, its rows and how many
+    ``sample_matrices`` calls had run by then (``calls`` is shared with
+    the spy that counts them)."""
+
+    def __init__(self, path, schema, calls):
+        super().__init__(path, schema)
+        self.calls = calls
+        self.writes: list[tuple[int, int]] = []
+
+    def write(self, chunk):
+        rows = super().write(chunk)
+        self.writes.append((rows, len(self.calls)))
+        return rows
+
+
+@pytest.fixture()
+def generate_calls(monkeypatch):
+    """The row counts of every in-process ``sample_matrices`` call."""
+    calls: list[int] = []
+    original = RecordSampler.sample_matrices
+
+    def spy(self, n, *args, **kwargs):
+        calls.append(n)
+        return original(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(RecordSampler, "sample_matrices", spy)
+    return calls
+
+
+class TestInProcessStreaming:
+    """One worker: a CSV sink gets each shard block by block, as decoded."""
+
+    def test_first_write_is_one_block_before_the_next_is_generated(
+            self, populated_registry, generate_calls, tmp_path):
+        batch = populated_registry.load("tiny").record_sampler().batch_size
+        sampler = ShardedSampler(populated_registry, "tiny")
+        n = 2 * batch + 40
+        with _RecordingCsvSink(tmp_path / "rows.csv", sampler.schema,
+                               generate_calls) as sink:
+            assert sampler.sample_to_sink(n, sink, seed=5, workers=1) == n
+        first_rows, calls_before_first = sink.writes[0]
+        assert first_rows <= batch
+        assert calls_before_first == 1
+        assert [rows for rows, _ in sink.writes] == [batch, batch, 40]
+        assert generate_calls == [batch, batch, 40]
+        assert (tmp_path / "rows.csv").read_bytes() == row_renderer(
+            sampler.schema).csv_text(sampler.sample_values(n, seed=5),
+                                     header=True).encode("utf-8")
+
+    def test_chunked_model_writes_once_per_shard(self, tmp_path, adult_bundle,
+                                                 tiny_gan_config):
+        """Chunked sampling permutes the merged rows, so a shard is one
+        block."""
+        chunked = ChunkedTableGAN(tiny_gan_config.with_overrides(epochs=1),
+                                  n_chunks=2)
+        chunked.fit(adult_bundle.train, rng=np.random.default_rng(0))
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.register("chunked", chunked)
+        sampler = ShardedSampler(registry, "chunked", shard_rows=300)
+        with _RecordingCsvSink(tmp_path / "rows.csv", sampler.schema,
+                               []) as sink:
+            assert sampler.sample_to_sink(450, sink, seed=2, workers=1) == 450
+        assert [rows for rows, _ in sink.writes] == [300, 150]
+
+
+@pytest.fixture(scope="module")
+def float64_registry(tmp_path_factory):
+    """A registry holding ``f64``, a float64 ``TableGAN`` whose generator
+    GEMMs (8x8 records, 32 base channels) are large enough that a block of
+    another size changes its rows."""
+    table = load_dataset("airline", rows=160, seed=0).train
+    gan = TableGAN(low_privacy(epochs=1, batch_size=16, base_channels=32,
+                               seed=0, dtype="float64"))
+    gan.fit(table)
+    registry = ModelRegistry(tmp_path_factory.mktemp("float64"))
+    registry.register("f64", gan)
+    return registry
+
+
+@pytest.mark.mp
+def test_float64_export_with_a_one_row_tail_block_is_worker_invariant(
+        float64_registry, tmp_path):
+    """Two 512-row shards and a 257-row tail shard, whose last block is one
+    row: float64 forwards depend on the batch size, so every block must be
+    the chunk the whole-shard path forwards."""
+    base = ["synth", "--registry", str(float64_registry.root),
+            "--model-name", "f64", "-n", str(2 * 512 + 257), "--seed", "9",
+            "--shard-rows", "512"]
+    csvs, members = {}, {}
+    for workers in (1, 2, 3):
+        for suffix in ("csv", "npz"):
+            out = tmp_path / f"rows-{workers}.{suffix}"
+            assert main([*base, "--workers", str(workers),
+                         "--out", str(out)]) == 0
+        csvs[workers] = (tmp_path / f"rows-{workers}.csv").read_bytes()
+        with np.load(tmp_path / f"rows-{workers}.npz") as archive:
+            members[workers] = {k: archive[k] for k in archive.files}
+    assert csvs[1] == csvs[2] == csvs[3]
+    assert sorted(members[1]) == ["chunk_00000", "chunk_00001",
+                                  "chunk_00002", "columns"]
+    for workers in (2, 3):
+        assert sorted(members[workers]) == sorted(members[1])
+        for name, values in members[1].items():
+            assert np.array_equal(members[workers][name], values)
+    assert members[1]["chunk_00002"].shape[0] == 257
 
 
 #: Every category needs CSV quoting (a comma, a double quote and a
