@@ -2,8 +2,10 @@
 
 Times the hot paths of the compute substrate — Conv2D forward/backward,
 ConvTranspose2D forward, fused BatchNorm forward/backward, one fused Adam
-step over a discriminator's parameters, and one full table-GAN training
-epoch on a synthetic 16×16 workload — twice each:
+step over a discriminator's parameters, one CSV export block
+(``csv_render``), one 256-row generator inference (``generator_infer``),
+and one full table-GAN training epoch on a synthetic 16×16 workload —
+twice each:
 
 * **engine**: the fast kernels (blocked batch-major stride-trick
   im2col/col2im over batch-free memoized plans, fused single-pass
@@ -13,7 +15,9 @@ epoch on a synthetic 16×16 workload — twice each:
   ``np.add.at`` scatter in the seed's position-major column layout,
   separate mean/var BatchNorm passes, per-parameter optimizer loops — all
   forced via :func:`repro.nn.reference_kernels`) in float64 — i.e. what
-  every training step cost before the engine.
+  every training step cost before the engine; for ``csv_render`` the
+  per-value ``repr`` renderer and for ``generator_infer`` each layer's
+  float32 inference ``forward``, the paths those kernels replaced.
 
 A third section, **synthesis**, measures the serving layer's throughput
 (rows/sec) on the same generator three ways: per-request sampling (one
@@ -155,7 +159,9 @@ QUICK_WORKLOAD = {
     "resilience_request_rows": 4,
     "resilience_crashes": 2,
     "training_workers": [1, 2],
-    "telemetry_requests": 16,
+    # 64, not 16: the 16-submit loops (~10 ms) put the armed/disarmed
+    # ratio above the 1.5x gate in ~1 run of 12 (true ratio ~1.25x).
+    "telemetry_requests": 64,
     "telemetry_request_rows": 4,
 }
 
@@ -233,6 +239,45 @@ def _adam_timings(workload: dict, dtype, reference: bool,
         p.grad += rng.standard_normal(p.shape).astype(dtype, copy=False)
     opt = Adam(params, fused=not reference)
     return {"adam_step_s": _best_of(opt.step, repeats)}
+
+
+def _csv_render_timings(workload: dict, reference: bool,
+                        repeats: int) -> dict[str, float]:
+    """One export block of CSV on the 32-column Airline table.
+
+    The engine renders it straight to bytes (:meth:`RowRenderer.csv_bytes`);
+    the reference is the per-value ``repr``/``str``/``join`` renderer the
+    kernel replaced.  The values are float32 generator-like outputs
+    decoded through the table's codec, as an export renders them.
+    """
+    from repro.data.datasets import load_dataset
+    from repro.data.io import CSV_BLOCK_ROWS, RowRenderer
+
+    table = load_dataset("airline", rows=800, seed=0).train
+    encoded = np.random.default_rng(3).uniform(
+        -1.0, 1.0, (CSV_BLOCK_ROWS, table.n_columns)).astype(np.float32)
+    values = TableCodec().fit(table).decode(encoded).values
+    renderer = RowRenderer(table.schema)
+    render = renderer._reference_csv_block if reference else renderer.csv_bytes
+    return {"csv_render_s": _best_of(lambda: render(values), repeats)}
+
+
+def _generator_infer_timings(workload: dict, reference: bool,
+                             repeats: int) -> dict[str, float]:
+    """A 256-row float32 generator inference: the channel-major
+    ``stream_forward`` (engine) or each layer's ``forward`` (reference)."""
+    generator = build_generator(workload["side"], 100, workload["base_channels"],
+                                rng=4, dtype=np.float32)
+    z = np.random.default_rng(5).standard_normal((256, 100)).astype(np.float32)
+
+    def per_layer():
+        out = z
+        for layer in generator.layers:
+            out = layer.forward(out, training=False)
+        return out
+
+    forward = per_layer if reference else (lambda: generator.stream_forward(z))
+    return {"generator_infer_s": _best_of(forward, repeats)}
 
 
 def _fit_epoch_seconds(workload: dict, dtype_name: str, reference: bool,
@@ -432,18 +477,30 @@ def _large_batch_timings(workload: dict, repeats: int) -> dict:
     256-row peak; the blocked engine holds it flat.
     ``flat_beyond_256`` records whether the largest batch is at least 80%
     of the smallest-batch-above-256 throughput (a cheap regression bit).
+
+    Each rate is the median of ``repeats`` timings taken round-robin over
+    the sizes (after one untimed round), so a stall that lasts a few
+    forwards moves one sample of every size, not the whole reading of
+    one: a lone best-of-5 per size read ~10.7 k rows/s at 256 rows (24×
+    low) in 2 of 5 quick runs.
     """
     model = _serving_model(workload["side"], workload["base_channels"])
     generator = model.generator_
     latent = model.config.latent_dim
     rng = np.random.default_rng(11)
-    rows_per_s = {}
-    for rows in workload["large_batch_rows"]:
-        z = rng.uniform(-1.0, 1.0, (rows, latent)).astype(np.float32)
-        # The serving path: Sequential.stream_forward (row-chunked
-        # inference over the blocked conv engine).
-        seconds = _best_of(lambda: generator.stream_forward(z), repeats)
-        rows_per_s[str(rows)] = rows / seconds
+    latents = {rows: rng.uniform(-1.0, 1.0, (rows, latent)).astype(np.float32)
+               for rows in workload["large_batch_rows"]}
+    samples = {rows: [] for rows in latents}
+    for round_ in range(repeats + 1):
+        for rows, z in latents.items():
+            # The serving path: Sequential.stream_forward (row-chunked,
+            # channel-major inference over the blocked conv engine).
+            start = time.perf_counter()
+            generator.stream_forward(z)
+            if round_:
+                samples[rows].append(time.perf_counter() - start)
+    rows_per_s = {str(rows): rows / float(np.median(times))
+                  for rows, times in samples.items()}
     sizes = [int(s) for s in rows_per_s]
     big = max(sizes)
     anchors = [s for s in sizes if 256 <= s < big] or [min(sizes)]
@@ -1012,6 +1069,10 @@ def run_benchmarks(repeats: int = 5, fit_repeats: int = 2,
     reference.update(_batchnorm_timings(workload, np.float64, True, repeats))
     engine.update(_adam_timings(workload, np.float32, False, repeats))
     reference.update(_adam_timings(workload, np.float64, True, repeats))
+    engine.update(_csv_render_timings(workload, False, repeats))
+    reference.update(_csv_render_timings(workload, True, repeats))
+    engine.update(_generator_infer_timings(workload, False, repeats))
+    reference.update(_generator_infer_timings(workload, True, repeats))
     engine["fit_epoch_s"] = _fit_epoch_seconds(workload, "float32", False,
                                                fit_repeats)
     reference["fit_epoch_s"] = _fit_epoch_seconds(workload, "float64", True,
@@ -1053,6 +1114,8 @@ KERNEL_CHECK_KEYS = (
     "batchnorm_forward_s",
     "batchnorm_backward_s",
     "adam_step_s",
+    "csv_render_s",
+    "generator_infer_s",
 )
 
 
@@ -1154,6 +1217,8 @@ REPORT_KEYS = (
     "batchnorm_forward_s",
     "batchnorm_backward_s",
     "adam_step_s",
+    "csv_render_s",
+    "generator_infer_s",
     "fit_epoch_s",
 )
 

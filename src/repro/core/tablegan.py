@@ -274,9 +274,8 @@ class TableGAN:
     def load_generator(self, path, table: Table) -> "TableGAN":
         """Load generator weights saved by :meth:`save`.
 
-        ``table`` supplies the schema; its values re-fit the codec, then the
-        saved column ranges overwrite the fitted ones so decoding matches
-        training-time scaling exactly.
+        ``table`` supplies the schema; the codec is rebuilt from the saved
+        column ranges, so decoding matches training-time scaling exactly.
         """
         with np.load(path) as archive:
             side = int(archive["meta.side"][0])
@@ -285,13 +284,9 @@ class TableGAN:
                 raise ValueError(
                     f"saved model has {n_features} features, table has {table.n_columns}"
                 )
-            self.codec_ = TableCodec().fit(table)
+            self.codec_ = TableCodec.from_ranges(
+                table.schema, archive["meta.col_min"], archive["meta.col_max"])
             self._sampler = None
-            for codec, lo, hi in zip(
-                self.codec_.codecs_, archive["meta.col_min"], archive["meta.col_max"]
-            ):
-                codec.data_min_ = float(lo)
-                codec.data_max_ = float(hi)
             gen_state = {
                 k[len("gen."):]: v for k, v in archive.items() if k.startswith("gen.")
             }

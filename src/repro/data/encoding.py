@@ -90,12 +90,30 @@ class TableCodec:
 
     def fit(self, table: Table) -> "TableCodec":
         """Learn per-column scaling from ``table``."""
-        self.schema_ = table.schema
-        self.codecs_ = []
-        for spec in table.schema.columns:
-            codec = MinMaxCodec(self.feature_range).fit(table.column(spec.name))
-            self.codecs_.append(codec)
+        self._set_codecs(table.schema, [
+            MinMaxCodec(self.feature_range).fit(table.column(spec.name))
+            for spec in table.schema.columns
+        ])
         return self
+
+    def _set_codecs(self, schema: TableSchema, codecs: list[MinMaxCodec]) -> None:
+        """Install fitted per-column codecs and the vectors :meth:`decode`
+        applies (built once here: the codecs are not changed afterwards)."""
+        self.schema_, self.codecs_ = schema, codecs
+        columns = schema.columns
+        categorical = [j for j, spec in enumerate(columns)
+                       if spec.kind is ColumnKind.CATEGORICAL]
+        lo = np.array([codec.lo for codec in codecs])
+        hi = np.array([codec.hi for codec in codecs])
+        self._decode_plan = (
+            lo, hi, hi - lo,
+            np.array([codec._span for codec in codecs]),
+            np.array([codec.data_min_ for codec in codecs]),
+            [j for j, spec in enumerate(columns)
+             if spec.kind is not ColumnKind.CONTINUOUS],
+            categorical,
+            np.array([columns[j].n_categories - 1.0 for j in categorical]),
+        )
 
     @classmethod
     def from_ranges(cls, schema: TableSchema, col_min, col_max) -> "TableCodec":
@@ -111,13 +129,13 @@ class TableCodec:
                 f"schema has {schema.n_columns}"
             )
         codec = cls()
-        codec.schema_ = schema
-        codec.codecs_ = []
+        columns = []
         for lo, hi in zip(col_min, col_max):
             column = MinMaxCodec(codec.feature_range)
             column.data_min_ = float(lo)
             column.data_max_ = float(hi)
-            codec.codecs_.append(column)
+            columns.append(column)
+        codec._set_codecs(schema, columns)
         return codec
 
     def encode(self, table: Table) -> np.ndarray:
@@ -146,25 +164,19 @@ class TableCodec:
             raise ValueError(
                 f"expected (n, {self.schema_.n_columns}) matrix, got {out.shape}"
             )
-        codecs, columns = self.codecs_, self.schema_.columns
-        lo = np.array([codec.lo for codec in codecs])
-        hi = np.array([codec.hi for codec in codecs])
+        lo, hi, width, span, data_min, rounded, categorical, tops = self._decode_plan
         _clip(out, lo, hi)
         out -= lo
-        out /= hi - lo
-        out *= [codec._span for codec in codecs]
-        out += [codec.data_min_ for codec in codecs]
+        out /= width
+        out *= span
+        out += data_min
         # Gather, round, scatter: ``np.rint(..., where=mask)`` runs a
         # masked element-by-element loop ~10x slower than this.
-        rounded = [j for j, spec in enumerate(columns)
-                   if spec.kind is not ColumnKind.CONTINUOUS]
         if rounded:
             out[:, rounded] = np.rint(out[:, rounded])
-        categorical = [j for j, spec in enumerate(columns)
-                       if spec.kind is ColumnKind.CATEGORICAL]
         if categorical:
             codes = out[:, categorical]
-            _clip(codes, 0.0, [columns[j].n_categories - 1.0 for j in categorical])
+            _clip(codes, 0.0, tops)
             out[:, categorical] = codes
         return Table(out, self.schema_)
 

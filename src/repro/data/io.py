@@ -117,11 +117,25 @@ def read_csv(path, qids=(), label: str | None = None,
     return Table(np.column_stack(data), schema)
 
 
-#: Rows per rendered CSV block.  Rendering a block holds every cell of it
-#: as a Python string, so the block bounds the renderer's memory.  On a
-#: 32-column table 256 rows render as fast as 1,024 and keep the export's
-#: peak resident set ~5 MiB lower.
+#: Rows per rendered CSV block.  Rendering a block builds its byte matrix
+#: and keep mask (~2.3 KB per row of the 32-column Airline table), so the
+#: block bounds the renderer's memory.
 CSV_BLOCK_ROWS = 256
+
+#: Blocks with fewer rows than this render through the per-value
+#: reference path (:meth:`RowRenderer._reference_csv_block`): below it
+#: the kernels' fixed cost (~200 numpy calls per block) exceeds what
+#: ``repr`` costs per value.  Measured crossover on the 32-column Airline
+#: table: 32 rows (the kernel takes 4× the reference's time at 1 row,
+#: 0.9–1.0× at 32 and 0.7× at 64; medians of interleaved runs, 2 vCPUs,
+#: numpy 2.4.6).
+KERNEL_MIN_ROWS = 32
+
+#: Bytes per slot of the block byte matrix :meth:`RowRenderer._csv_block`
+#: assembles (a multiple of 8, so the digit kernels' words store into it).
+SLOT = 24
+_CRLF_SLOT = np.frombuffer(b"\r\n".ljust(SLOT, b"\0"), np.uint8)
+_CRLF_KEEP = np.arange(SLOT) < 2
 
 #: Characters that make ``csv.writer``'s default dialect quote a field.
 _CSV_SPECIAL = frozenset(',"\r\n')
@@ -159,10 +173,16 @@ class RowRenderer:
     strings, discretes to rounded Python ints, continuous values as floats
     — but one column *kind* at a time, so the per-call cost does not grow
     with the column count.  :meth:`rows` assembles the decoded values into
-    rows (the JSON responses' shape); :meth:`csv_blocks` renders them as
-    CSV text byte-identical to ``csv.writer``'s default dialect (minimal
-    quoting, CRLF line ends, ``repr`` floats), column by column, one
-    bounded block of rows at a time.
+    rows (the JSON responses' shape).  :meth:`csv_bytes` renders them as
+    UTF-8 CSV byte-identical to ``csv.writer``'s default dialect (minimal
+    quoting, CRLF line ends, ``repr`` floats), one bounded block of rows
+    at a time: every cell gets fixed-width byte slots, each led by its
+    separator — floats and ints from :mod:`repro.data.digits`, categories
+    from a pre-quoted vocabulary — the kinds' slot matrices are joined in
+    schema order, and one boolean compress of the kept bytes is the
+    block.  The per-value renderer it replaced stays as
+    :meth:`_reference_csv_block`, the oracle the tests and ``python -m
+    repro bench`` compare it with.
     """
 
     def __init__(self, schema: TableSchema):
@@ -194,6 +214,37 @@ class RowRenderer:
         self._all_continuous = len(self._continuous) == schema.n_columns
         #: The CSV header line (column names), terminator included.
         self.csv_header = ",".join(map(_csv_field, schema.names)) + "\r\n"
+        self._csv_header_bytes = self.csv_header.encode("utf-8")
+        # The digit kernels load with the first renderer, not with
+        # ``import repro`` (which training processes pay for).
+        from repro.data import digits
+
+        # Every cell owns whole SLOT-byte slots of a block's byte matrix:
+        # two per float (the digits' integer and fraction copies), one per
+        # int, enough for the longest category, and one row terminator.
+        # Each slot starts with the field separator.
+        encoded = [b"," + q.encode("utf-8") for q in quoted]
+        cat_slots = -(-max(map(len, encoded), default=1) // SLOT)
+        self._cat_bytes = np.zeros((len(encoded), cat_slots * SLOT), np.uint8)
+        self._cat_keep = np.zeros((len(encoded), cat_slots * SLOT), bool)
+        for i, text in enumerate(encoded):
+            self._cat_bytes[i, : len(text)] = np.frombuffer(text, np.uint8)
+            self._cat_keep[i, : len(text)] = True
+        self._widths = (digits.FLOAT_SLOT // SLOT, digits.INT_SLOT // SLOT,
+                        cat_slots)
+        # Runs of same-kind columns, as (kind, first, last + 1) positions in
+        # that kind's column list: the block's byte matrix is the kinds'
+        # slot matrices cut at these runs and joined in schema order.
+        group = {ColumnKind.CONTINUOUS: 0, ColumnKind.DISCRETE: 1,
+                 ColumnKind.CATEGORICAL: 2}
+        self._runs, seen = [], [0, 0, 0]
+        for kind in kinds:
+            g = group[kind]
+            if self._runs and self._runs[-1][0] == g:
+                self._runs[-1][2] += 1
+            else:
+                self._runs.append([g, seen[g], seen[g] + 1])
+            seen[g] += 1
 
     def _decode(self, values: np.ndarray, vocabulary: np.ndarray) -> tuple:
         """``values`` split by kind and decoded: (floats, ints, strings)."""
@@ -214,8 +265,45 @@ class RowRenderer:
             cells[:, index] = part
         return cells.tolist()
 
-    def _csv_columns(self, values: np.ndarray) -> list[list[str]]:
-        """Each column of ``values`` as its CSV fields."""
+    def _csv_block(self, values: np.ndarray) -> bytes:
+        """The CSV bytes of one block of rows."""
+        rows = values.shape[0]
+        if rows < KERNEL_MIN_ROWS:
+            return self._reference_csv_block(values).encode("utf-8")
+        from repro.data import digits
+
+        ints = _discrete_ints(values[:, self._discrete])
+        if ints.dtype == object:
+            # Integers past int64: str() of Python ints, cell by cell.
+            return self._reference_csv_block(values).encode("utf-8")
+        parts = [None, None, None]
+        for g, index, kernel, part, masks in (
+                (0, self._continuous, digits.float_slots,
+                 values[:, self._continuous], digits.FLOAT_MASKS),
+                (1, self._discrete, digits.int_slots, ints, digits.INT_MASKS)):
+            if index.size:
+                slots, pattern = kernel(part)
+                parts[g] = (slots.view(np.uint8).reshape(rows, -1, SLOT),
+                            masks[pattern].reshape(rows, -1, SLOT))
+        if self._categorical.size:
+            codes = np.clip(np.rint(values[:, self._categorical]).astype(int),
+                            0, self._tops) + self._offsets
+            parts[2] = (self._cat_bytes[codes].reshape(rows, -1, SLOT),
+                        self._cat_keep[codes].reshape(rows, -1, SLOT))
+        pieces = [[], []]
+        for g, start, stop in self._runs:
+            width = self._widths[g]
+            for side, matrix in zip(pieces, parts[g]):
+                side.append(matrix[:, start * width: stop * width])
+        for side, end in zip(pieces, (_CRLF_SLOT, _CRLF_KEEP)):
+            side.append(np.broadcast_to(end, (rows, 1, SLOT)))
+        cells, keep = (np.concatenate(side, axis=1) for side in pieces)
+        keep[:, 0, 0] = False               # no separator before the first field
+        return cells[keep].tobytes()
+
+    def _reference_csv_block(self, values: np.ndarray) -> str:
+        """The per-value renderer: one block's CSV text through ``repr``,
+        ``str`` and ``str.join`` (the kernel's oracle)."""
         floats, ints, strings = self._decode(values, self._csv_vocabulary)
         columns = [None] * values.shape[1]
         for j, column in zip(self._continuous, floats.T.tolist()):
@@ -224,18 +312,25 @@ class RowRenderer:
             columns[j] = list(map(str, column))
         for j, column in zip(self._categorical, strings.T.tolist()):
             columns[j] = column
-        return columns
+        return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+
+    def csv_bytes(self, values: np.ndarray, header: bool = False,
+                  block_rows: int = CSV_BLOCK_ROWS) -> bytes:
+        """The UTF-8 CSV of ``values``' rows, after the header if asked."""
+        blocks = [self._csv_block(values[start:start + block_rows])
+                  for start in range(0, values.shape[0], block_rows)]
+        if header:
+            blocks.insert(0, self._csv_header_bytes)
+        return b"".join(blocks)
 
     def csv_blocks(self, values: np.ndarray, block_rows: int = CSV_BLOCK_ROWS):
         """Yield the CSV text of ``values``' rows, ``block_rows`` at a time."""
         for start in range(0, values.shape[0], block_rows):
-            columns = self._csv_columns(values[start:start + block_rows])
-            yield "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+            yield self._csv_block(values[start:start + block_rows]).decode("utf-8")
 
     def csv_text(self, values: np.ndarray, header: bool = False) -> str:
         """The CSV text of ``values``' rows, after the header if asked."""
-        blocks = self.csv_blocks(values)
-        return "".join([self.csv_header, *blocks] if header else blocks)
+        return self.csv_bytes(values, header=header).decode("utf-8")
 
 
 _RENDERERS: dict[int, RowRenderer] = {}
@@ -269,7 +364,8 @@ def decoded_rows(table: Table) -> list[list]:
 def write_csv(table: Table, path) -> None:
     """Write a Table to UTF-8 CSV, decoding categorical codes to their strings."""
     renderer = row_renderer(table.schema)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(renderer.csv_header)
-        for block in renderer.csv_blocks(table.values):
-            handle.write(block)
+    values = table.values
+    with open(path, "wb") as handle:
+        handle.write(renderer.csv_header.encode("utf-8"))
+        for start in range(0, values.shape[0], CSV_BLOCK_ROWS):
+            handle.write(renderer._csv_block(values[start:start + CSV_BLOCK_ROWS]))

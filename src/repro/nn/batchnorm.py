@@ -235,6 +235,21 @@ class BatchNorm(Layer):
         self._cache = (x_hat, inv_std, axes, count, x.ndim, training)
         return out
 
+    def infer_rows(self, rows: np.ndarray) -> None:
+        """Inference normalization of channel-major ``rows`` ``(C, M)``, in place.
+
+        The fused inference forward's four elementwise operations, in the
+        same order and dtype (subtract the running mean, scale by
+        ``1/sqrt(var + eps)``, scale by gamma, shift by beta), each over a
+        contiguous channel row: every element gets the bits
+        ``forward(x, training=False)`` gives it.  Caches nothing.
+        """
+        inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+        np.subtract(rows, self.running_mean[:, None], out=rows)
+        np.multiply(rows, inv_std[:, None], out=rows)
+        np.multiply(rows, self.gamma.data[:, None], out=rows)
+        np.add(rows, self.beta.data[:, None], out=rows)
+
     def _fused_backward(self, grad: np.ndarray) -> np.ndarray:
         x_hat, inv_std, axes, count, _, trained = self._cache
         if x_hat.dtype == np.float64:

@@ -68,6 +68,7 @@ from repro.nn.im2col import (
     conv_gemm_forward,
     conv_output_size,
     fold_gemm_forward,
+    fold_gemm_infer,
     is_reference,
     unfold_gemm_backward,
 )
@@ -275,6 +276,21 @@ class ConvTranspose(_Convolution):
             x_mat, w_mat, self._out_shape, plan, None,
             bias=None if self.bias is None else self.bias.data,
         )
+
+    def infer_channel_major(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Inference forward on channel-major activations; caches nothing.
+
+        ``x`` is the contiguous ``(C_in, *spatial, N)`` input and ``out``
+        a ``(C_out, *out_spatial, N)`` view; the bits equal
+        ``forward(x, training=False)`` in the batch-major layout (see
+        :func:`~repro.nn.im2col.fold_gemm_infer`).
+        """
+        batch = x.shape[-1]
+        plan = conv_plan((batch, self.out_channels, *self.output_shape(*x.shape[1:-1])),
+                         self.kernel, self.padding, self.stride)
+        fold_gemm_infer(x.reshape(self.in_channels, -1, batch),
+                        self.weight.data.reshape(self.in_channels, -1), plan,
+                        None if self.bias is None else self.bias.data, out)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._ref_mode:

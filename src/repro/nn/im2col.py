@@ -373,6 +373,16 @@ def _scatter_block(cols_t: np.ndarray, plan: ConvPlan, out: np.ndarray,
         if plan.padding:
             out[start:stop] = buf[plan.unpad_slices]
         return
+    out[start:stop] = np.moveaxis(_scatter_acc(cols_t, plan, b, ws), -1, 0)
+
+
+def _scatter_acc(cols_t: np.ndarray, plan: ConvPlan, b: int,
+                 ws: dict | None) -> np.ndarray:
+    """Overlapping fold of a ``b``-record block into the scatter workspace.
+
+    Returns the unpadded cells of the batch-innermost accumulator, a
+    strided ``(C, *plan.spatial, b)`` view that the next block overwrites.
+    """
     acc = _ws(ws, "scatter", (plan.channels, *plan.scatter_spatial, b),
               cols_t.dtype)
     # Parity group 0 assigns the leading [0, stride*out) subgrid, so only
@@ -384,8 +394,7 @@ def _scatter_block(cols_t: np.ndarray, plan: ConvPlan, out: np.ndarray,
     else:
         acc[:, stride * plan.out[0]:, :] = 0
     _scatter_overlapping(cols_t, plan, acc)
-    core = acc[(slice(None),) + plan.unpad_slices[2:] + (slice(None),)]
-    out[start:stop] = np.moveaxis(core, -1, 0)
+    return acc[(slice(None),) + plan.unpad_slices[2:] + (slice(None),)]
 
 
 # ----------------------------------------------------------------------
@@ -592,6 +601,40 @@ def fold_gemm_forward(x_mat: np.ndarray, w_mat: np.ndarray,
                 (1, -1) + (1,) * (len(out_shape) - 2)
             )
     return out
+
+
+def fold_gemm_infer(x: np.ndarray, w_mat: np.ndarray, plan: ConvPlan,
+                    bias: np.ndarray | None, out: np.ndarray) -> None:
+    """Transposed-convolution inference in the channel-major layout.
+
+    ``x`` is the contiguous ``(C_in, P, N)`` input, batch innermost —
+    exactly the pack buffer :func:`fold_gemm_forward` builds from a
+    batch-major input, so with the same blocks it makes the same GEMM call
+    on the same shapes and the same scatter adds in the same order, and
+    adds ``bias`` after the tap sum: bit-identical to it.  ``out`` is any
+    ``(C_out, *plan.spatial, N)`` view (channel-major for the next layer,
+    or a batch-major array's ``moveaxis(out, 0, -1)``); every cell of it
+    is written.  Needs overlapping windows (``stride < kernel``).
+    """
+    c_in, positions, batch = x.shape
+    block = min(plan.batch_block(x.dtype.itemsize), max(batch, 1))
+    if bias is not None:
+        bias = bias.reshape((-1,) + (1,) * (out.ndim - 1))
+    for start in range(0, batch, block):
+        stop = min(start + block, batch)
+        b = stop - start
+        if b == batch:
+            pk = x.reshape(c_in, positions * b)
+        else:
+            pk = _ws(None, "pack", (c_in, positions * b), x.dtype)
+            pk.reshape(c_in, positions, b)[...] = x[:, :, start:stop]
+        cols_t = _ws(None, "cols_t", (plan.rows, positions * b), x.dtype)
+        np.matmul(w_mat.T, pk, out=cols_t)
+        core = _scatter_acc(cols_t, plan, b, None)
+        if bias is None:
+            out[..., start:stop] = core
+        else:
+            np.add(core, bias, out=out[..., start:stop])
 
 
 def unfold_gemm_backward(grad: np.ndarray, x_mat: np.ndarray,

@@ -188,17 +188,34 @@ class Dense(Layer):
         if x.ndim != 2:
             raise ValueError(f"Dense expects 2-D input, got shape {x.shape}")
         self._x = x
+        out = self._product(x, training)
+        if self.bias is not None:
+            out = out + self.bias.data
+        return out
+
+    def _product(self, x: np.ndarray, training: bool,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """``x @ W``, into ``out`` when given."""
         if not training and x.shape[0] == 1:
             # numpy hands a one-row product to BLAS gemv, which sums in a
             # different order than the gemm of every larger batch.  A
             # two-row gemm keeps an inference row's bits independent of
             # how many rows share its forward (training keeps its bits).
-            out = (np.concatenate((x, x)) @ self.weight.data)[:1]
+            return (np.concatenate((x, x)) @ self.weight.data)[:1]
+        return np.matmul(x, self.weight.data, out=out)
+
+    def infer_transposed(self, x: np.ndarray, scratch: np.ndarray,
+                         out: np.ndarray) -> None:
+        """Inference output, transposed: ``out`` ``(F, N)`` gets
+        ``forward(x, training=False).T`` bit for bit; caches nothing.
+
+        ``scratch`` is an ``(N, F)`` buffer for the product.
+        """
+        product = self._product(x, False, out=scratch)
+        if self.bias is None:
+            out[...] = product.T
         else:
-            out = x @ self.weight.data
-        if self.bias is not None:
-            out = out + self.bias.data
-        return out
+            np.add(product.T, self.bias.data[:, None], out=out)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None:

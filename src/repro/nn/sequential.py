@@ -13,10 +13,17 @@ exposes :meth:`activation`, :meth:`backward_from` and :meth:`layer_index`.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
+from repro.nn import batchnorm
+from repro.nn.activations import ReLU, Tanh
+from repro.nn.batchnorm import BatchNorm
+from repro.nn.conv import ConvTranspose
 from repro.nn.flatbuf import FlatParameterBuffer
-from repro.nn.layers import Layer, Parameter
+from repro.nn.im2col import _ws, is_reference
+from repro.nn.layers import Dense, Layer, Parameter, Reshape
 
 
 class Sequential(Layer):
@@ -72,20 +79,91 @@ class Sequential(Layer):
         the whole stack is numerically identical to one monolithic pass —
         but the inter-layer activation tensors stay cache-resident instead
         of streaming through DRAM, which keeps bulk-synthesis throughput
-        flat in the batch size (the serving half of ISSUE 4; see
-        ``docs/benchmarks.md``).  The chunking is a pure function of the
-        input size, so for a given input the result is deterministic; it
-        also makes bulk sampling *less* batch-size sensitive than the
-        monolithic pass, since most rows go through identical
+        flat in the batch size (see ``docs/benchmarks.md``).  The chunking
+        is a pure function of the input size, so for a given input the
+        result is deterministic, and most rows go through identical
         ``chunk_rows``-row GEMMs regardless of the caller's batching.
 
-        Unlike :meth:`forward`, no per-layer activations are recorded
-        (``activation()`` still reports the last recorded pass); like any
-        forward, it clobbers the layers' backward caches.
+        A generator stack (``Dense``, ``Reshape``, then ``BatchNorm``,
+        ``ReLU`` and ``ConvTranspose`` layers ending in a
+        ``ConvTranspose``, then ``Tanh``; input in the weights' dtype) runs
+        channel-major: every activation is a contiguous ``(C, *spatial,
+        rows)`` buffer from the calling thread's engine scratch, which is
+        exactly each transposed convolution's GEMM operand, and the result
+        is transposed back once before ``Tanh``.  Each layer makes the
+        same GEMM calls on the same shapes and the same elementwise
+        operations as its ``forward(training=False)``, so the output is
+        bit-identical to the per-layer pass, and no layer's cache is
+        touched.  Any other stack (or under the reference kernels) runs
+        each layer's inference ``forward`` per chunk, which replaces
+        that layer's backward cache.  Unlike :meth:`forward`, no
+        per-layer activations are recorded.
         """
         chunk = self.STREAM_CHUNK_ROWS if chunk_rows is None else int(chunk_rows)
         if chunk <= 0:
             raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
+        n = x.shape[0]
+        if not self._runs_channel_major(x):
+            return self._stream_per_layer(x, chunk)
+        spatial = self.layers[1].target_shape[1:]
+        for layer in self.layers:
+            if isinstance(layer, ConvTranspose):
+                spatial = layer.output_shape(*spatial)
+        final = np.empty((n, self.layers[-2].out_channels, *spatial), x.dtype)
+        for start in range(0, n, chunk):
+            self._infer_channel_major(x[start:start + chunk],
+                                      final[start:start + chunk])
+        return final
+
+    def _runs_channel_major(self, x: np.ndarray) -> bool:
+        """Whether :meth:`stream_forward` takes the channel-major path."""
+        if len(self.layers) < 4 or is_reference() or batchnorm._USE_REFERENCE:
+            return False
+        dense, reshape, *body, tanh = self.layers
+        if not (type(dense) is Dense and type(reshape) is Reshape
+                and type(tanh) is Tanh and body
+                and isinstance(body[-1], ConvTranspose)
+                and x.ndim == 2 and x.dtype == dense.weight.data.dtype):
+            return False
+        for layer in body:
+            if isinstance(layer, ConvTranspose):
+                if layer.stride >= layer.kernel:   # the fold needs overlap
+                    return False
+            elif type(layer) is not BatchNorm and type(layer) is not ReLU:
+                return False
+        return True
+
+    def _infer_channel_major(self, x: np.ndarray, out: np.ndarray) -> None:
+        """One chunk of :meth:`stream_forward`'s channel-major path into
+        ``out`` (the chunk's rows of the batch-major result)."""
+        dense, reshape, *body, _ = self.layers
+        rows = x.shape[0]
+        shape = (*reshape.target_shape, rows)
+        act = _ws(None, "stream_a", shape, x.dtype)
+        dense.infer_transposed(
+            x, _ws(None, "stream_b", (rows, prod(reshape.target_shape)), x.dtype),
+            act.reshape(-1, rows))
+        spare = "stream_b"
+        for index, layer in enumerate(body):
+            if isinstance(layer, ConvTranspose):
+                shape = (layer.out_channels, *layer.output_shape(*shape[1:-1]), rows)
+                if index == len(body) - 1:
+                    # The single transpose back: the last layer scatters
+                    # into the batch-major result.
+                    layer.infer_channel_major(act, np.moveaxis(out, 0, -1))
+                    break
+                nxt = _ws(None, spare, shape, x.dtype)
+                layer.infer_channel_major(act, nxt)
+                spare = "stream_a" if spare == "stream_b" else "stream_b"
+                act = nxt
+            elif isinstance(layer, BatchNorm):
+                layer.infer_rows(act.reshape(act.shape[0], -1))
+            else:
+                np.maximum(act, 0.0, out=act)
+        np.tanh(out, out=out)
+
+    def _stream_per_layer(self, x: np.ndarray, chunk: int) -> np.ndarray:
+        """:meth:`stream_forward` through each layer's inference ``forward``."""
         n = x.shape[0]
         if n <= chunk:
             out = x

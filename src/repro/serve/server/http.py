@@ -520,8 +520,7 @@ class _Handler(BaseHTTPRequestHandler):
         render_started = time.perf_counter()
         with trace.span("render", fmt=fmt, rows=n):
             if fmt == "csv":
-                body = row_renderer(schema).csv_text(
-                    table.values, header=True).encode("utf-8")
+                body = row_renderer(schema).csv_bytes(table.values, header=True)
                 content_type = "text/csv; charset=utf-8"
             else:
                 # Hand-assembled but byte-identical to _json_bytes of the
@@ -617,7 +616,7 @@ class _Handler(BaseHTTPRequestHandler):
         render_started = time.perf_counter()
         table = Table(values, schema)
         if fmt == "csv":
-            data = row_renderer(schema).csv_text(table.values).encode("utf-8")
+            data = row_renderer(schema).csv_bytes(table.values)
         else:
             data = _ndjson_bytes(decoded_rows(table))
         self.app.observe_render(time.perf_counter() - render_started)

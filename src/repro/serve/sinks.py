@@ -20,7 +20,7 @@ the process that owns the sink only writes.
   :class:`~repro.data.io.RowRenderer` that :func:`repro.data.io.write_csv`
   and the server's CSV responses share.  Files are UTF-8 under any
   locale.  A chunk is a value matrix (rendered in the sink, 256 rows at a
-  time) or a :class:`CsvChunk` rendered ahead by
+  time, straight to bytes) or a :class:`CsvChunk` rendered ahead by
   :func:`render_csv_chunk`.
 * :class:`NpzSink` — a ``np.load``-compatible ``.npz`` archive written
   incrementally: each chunk becomes one ``chunk_NNNNN`` member (plus a
@@ -92,8 +92,7 @@ class CsvChunk(NamedTuple):
 
 def render_csv_chunk(schema: TableSchema, values: np.ndarray) -> CsvChunk:
     """``values``' rows as the bytes a :class:`CsvSink` of ``schema`` writes."""
-    blocks = row_renderer(schema).csv_blocks(values)
-    return CsvChunk(len(values), b"".join(b.encode("utf-8") for b in blocks))
+    return CsvChunk(len(values), row_renderer(schema).csv_bytes(values))
 
 
 class CsvSink(_AtomicSink):
@@ -136,8 +135,7 @@ class CsvSink(_AtomicSink):
         )
         if table.schema is not self.schema and table.schema != self.schema:
             raise ValueError("chunk schema does not match the sink schema")
-        for block in self._renderer.csv_blocks(table.values):
-            self._handle.write(block.encode("utf-8"))
+        self._handle.write(self._renderer.csv_bytes(table.values))
         self.rows_written += table.n_rows
         return table.n_rows
 

@@ -112,3 +112,112 @@ class TestZeroGrad:
         assert any(np.any(p.grad != 0) for p in net.parameters())
         net.zero_grad()
         assert all(np.all(p.grad == 0) for p in net.parameters())
+
+
+def _trained_generator(dtype, rank, seed=0):
+    """A generator with non-trivial BatchNorm statistics and biases."""
+    from repro.core.networks import build_generator
+
+    generator = build_generator(8, 24, 16, rng=seed, dtype=dtype, rank=rank)
+    rng = np.random.default_rng(seed + 100)
+    for layer in generator.layers:
+        if hasattr(layer, "running_mean"):
+            shape = layer.running_mean.shape
+            layer.running_mean[...] = rng.normal(0.0, 0.5, shape)
+            layer.running_var[...] = rng.uniform(0.5, 2.0, shape)
+            layer.gamma.data[...] = rng.normal(1.0, 0.2, shape)
+            layer.beta.data[...] = rng.normal(0.0, 0.2, shape)
+        bias = getattr(layer, "bias", None)
+        if bias is not None:
+            bias.data[...] = rng.normal(0.0, 0.1, bias.data.shape)
+    return generator
+
+
+def _per_layer(net, x, chunk=Sequential.STREAM_CHUNK_ROWS):
+    """The oracle: each layer's inference forward, chunk by chunk."""
+    outs = []
+    for start in range(0, x.shape[0], chunk):
+        out = x[start:start + chunk]
+        for layer in net.layers:
+            out = layer.forward(out, training=False)
+        outs.append(out)
+    return np.concatenate(outs)
+
+
+class TestChannelMajorStream:
+    """The generator's channel-major inference equals the per-layer
+    forward bit for bit and leaves every layer's cache alone."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_bit_identical_to_the_per_layer_forward(self, dtype, rank):
+        generator = _trained_generator(dtype, rank)
+        assert generator._runs_channel_major(np.zeros((1, 24), dtype))
+        rng = np.random.default_rng(3)
+        for rows in (1, 2, 49, 255, 256, 257, 300):
+            z = rng.standard_normal((rows, 24)).astype(dtype)
+            got = generator.stream_forward(z)
+            want = _per_layer(generator, z)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), rows
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_small_workspace_blocks_and_chunks(self, dtype):
+        from repro.nn import set_workspace_budget
+
+        generator = _trained_generator(dtype, 2, seed=4)
+        z = np.random.default_rng(5).standard_normal((37, 24)).astype(dtype)
+        previous = set_workspace_budget(20_000)
+        try:
+            for chunk in (5, 16, 37):
+                got = generator.stream_forward(z, chunk_rows=chunk)
+                assert got.tobytes() == _per_layer(generator, z, chunk).tobytes()
+        finally:
+            set_workspace_budget(previous)
+
+    def test_leaves_layer_caches_untouched(self):
+        generator = _trained_generator(np.float32, 2)
+        z = np.random.default_rng(6).standard_normal((9, 24)).astype(np.float32)
+        generator.forward(z, training=True)
+        before = [dict(vars(layer)) for layer in generator.layers]
+        generator.stream_forward(z[:4])
+        for layer, state in zip(generator.layers, before):
+            for key, value in vars(layer).items():
+                assert value is state[key], (type(layer).__name__, key)
+
+    def test_other_stacks_take_the_per_layer_path(self):
+        generator = _trained_generator(np.float32, 2)
+        z = np.zeros((3, 24), np.float32)
+        assert not generator._runs_channel_major(z.astype(np.float64))
+        assert not make_net()._runs_channel_major(np.zeros((3, 4)))
+        from repro.nn import reference_kernels
+
+        with reference_kernels():
+            assert not generator._runs_channel_major(z)
+
+    def test_concurrent_threads_do_not_disturb_each_other(self):
+        import threading
+
+        generators = [_trained_generator(dtype, 2, seed=seed)
+                      for seed, dtype in ((1, np.float32), (2, np.float64),
+                                          (3, np.float32))]
+        rng = np.random.default_rng(7)
+        latents = [[rng.standard_normal((rows, 24)).astype(g.layers[0].weight.data.dtype)
+                    for rows in (300, 1, 256, 49, 257)] for g in generators]
+        want = [[_per_layer(g, z) for z in zs] for g, zs in zip(generators, latents)]
+        got = [None] * len(generators)
+        start = threading.Barrier(len(generators))
+
+        def worker(i):
+            start.wait(timeout=30)
+            got[i] = [generators[i].stream_forward(z)
+                      for _ in range(3) for z in latents[i]]
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(generators))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        for outs, oracle in zip(got, want):
+            assert [o.tobytes() for o in outs] == [o.tobytes() for o in oracle] * 3

@@ -25,7 +25,8 @@ from repro.data.datasets import load_dataset
 load_dataset("airline", seed=1)
 low_privacy(epochs=1, seed=1)
 loaded = [m for m in ("repro.serve", "repro.core.parallel", "http.server",
-                      "ssl", "multiprocessing") if m in sys.modules]
+                      "ssl", "multiprocessing", "repro.data.digits")
+          if m in sys.modules]
 import repro, repro.core
 names = [repro.ModelRegistry.__name__, repro.core.ParallelTrainer.__name__]
 print(json.dumps({"loaded": loaded, "names": names}))
