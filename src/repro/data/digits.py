@@ -1,4 +1,5 @@
-"""Decimal text of float64 and int64 arrays, as ``repr`` and ``str`` write it.
+"""CSV rows as UTF-8 bytes: ``repr`` of float64, ``str`` of int64 and
+pre-quoted texts, rendered a block of rows at a time.
 
 The CSV renderer spends most of its time in ``float.__repr__``: the
 shortest decimal string that reads back as the same double (David Gay's
@@ -31,12 +32,14 @@ exact tie between the two nearest candidates, a rounding that carries
 into the next decade, or a ``log10`` estimate off by one — is written by
 ``repr()``.
 
-:func:`float_slots` and :func:`int_slots` (``str`` of int64 values)
-return each value's text as a fixed-width byte slot plus a pattern whose
-row of :data:`FLOAT_MASKS` / :data:`INT_MASKS` marks the bytes it keeps —
-the form :class:`repro.data.io.RowRenderer` assembles rows from.
-:func:`float_texts` and :func:`int_texts` give plain strings (tests,
-fuzzing).
+**Byte layout.**  :func:`float_slots` and :func:`int_slots` (``str`` of
+int64 values) return each value's text as a fixed-width byte slot, led
+by the field separator, plus a pattern whose row of :data:`FLOAT_MASKS`
+/ :data:`INT_MASKS` marks the bytes it keeps.  :class:`CsvRows` holds
+each text column's pre-quoted texts as slots of the same form, joins a
+block's slots in row order, ends each row with CRLF, drops each row's
+first separator, and takes the kept bytes in one boolean compress.  No
+other module knows the layout.
 """
 
 from __future__ import annotations
@@ -47,8 +50,14 @@ import numpy as np
 FLOAT_SLOT = 48
 #: Bytes per int64 slot.
 INT_SLOT = 24
+#: A text column's slots are as wide as its longest text, rounded up to
+#: a multiple of this: columns of similar text lengths share one table
+#: (one gather per block), and a long text widens only its own group.
+TEXT_STEP = 24
 #: Longest ``repr`` of a double (``-2.2250738585072014e-308``).
 _REPR_MAX = 24
+#: The row terminator's bytes and keep mask.
+_CRLF = (np.frombuffer(b"\r\n", np.uint8), np.ones(2, bool))
 
 _U64 = np.dtype("<u8")
 _POW10 = np.array([10**j for j in range(20)], dtype=np.uint64)
@@ -264,19 +273,74 @@ def int_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words, neg * 20 + digits - 1
 
 
-def _texts(words: np.ndarray, keep: np.ndarray) -> list[str]:
-    slots = words.view(np.uint8).reshape(len(words), -1)[:, 1:]
-    return [slot[mask].tobytes().decode("ascii")
-            for slot, mask in zip(slots, keep[:, 1:])]
+def _kernel_slots(kernel, masks: np.ndarray, values: np.ndarray):
+    """``kernel``'s slots of a ``(rows, columns)`` matrix, and their keep
+    masks, each ``(rows, columns, slot bytes)``."""
+    words, pattern = kernel(values)
+    shape = (len(values), -1, masks.shape[1])
+    return words.view(np.uint8).reshape(shape), masks[pattern].reshape(shape)
 
 
-def float_texts(values: np.ndarray) -> list[str]:
-    """``[repr(v) for v in values]`` through the kernel (tests, fuzzing)."""
-    words, pattern = float_slots(values)
-    return _texts(words, FLOAT_MASKS[pattern])
+class CsvRows:
+    """One row format's CSV bytes, rendered a block of rows at a time.
 
+    ``columns`` lists the row's columns in order, each ``float`` (written
+    as ``repr`` writes it), ``int`` (as ``str``) or the column's texts,
+    one per code, already CSV-quoted.  :meth:`render` takes a block's
+    float, int and code columns, each kind's in row order.
+    """
 
-def int_texts(values: np.ndarray) -> list[str]:
-    """``[str(v) for v in values]`` through the kernel (tests, fuzzing)."""
-    words, pattern = int_slots(values)
-    return _texts(words, INT_MASKS[pattern])
+    def __init__(self, columns: list):
+        texts = [[b"," + text.encode("utf-8") for text in column]
+                 for column in columns if column is not float and column is not int]
+        widths = [-(-max(map(len, column)) // TEXT_STEP) * TEXT_STEP
+                  for column in texts]
+        steps = sorted(set(widths))
+        # Slot groups: 0 the floats, 1 the ints, 2 + i the text columns
+        # of width steps[i], whose texts share one table.
+        self._texts = []
+        for width in steps:
+            members = [i for i, w in enumerate(widths) if w == width]
+            table = [text for i in members for text in texts[i]]
+            cells = np.zeros((len(table), width), np.uint8)
+            keep = np.zeros((len(table), width), bool)
+            for row, text in enumerate(table):
+                cells[row, : len(text)] = np.frombuffer(text, np.uint8)
+                keep[row, : len(text)] = True
+            sizes = np.array([len(texts[i]) for i in members])
+            self._texts.append((np.array(members), np.cumsum(sizes) - sizes,
+                                cells, keep))
+        # Runs of one group's columns, as [group, first, last + 1] positions
+        # in that group: a block's bytes are the groups' slots cut at these
+        # runs and joined in row order.
+        groups = iter(2 + steps.index(w) for w in widths)
+        self._runs, seen = [], [0] * (2 + len(steps))
+        for column in columns:
+            g = 0 if column is float else 1 if column is int else next(groups)
+            if self._runs and self._runs[-1][0] == g:
+                self._runs[-1][2] += 1
+            else:
+                self._runs.append([g, seen[g], seen[g] + 1])
+            seen[g] += 1
+
+    def render(self, floats: np.ndarray, ints: np.ndarray,
+               codes: np.ndarray) -> bytes:
+        """The UTF-8 CSV rows of one block: ``floats`` (float64), ``ints``
+        (int64) and ``codes`` (indices into each text column's texts)."""
+        rows = len(floats)
+        slots = [_kernel_slots(float_slots, FLOAT_MASKS, floats)
+                 if floats.shape[1] else None,
+                 _kernel_slots(int_slots, INT_MASKS, ints)
+                 if ints.shape[1] else None]
+        for members, offsets, cells, keep in self._texts:
+            index = codes[:, members] + offsets
+            slots.append((cells[index], keep[index]))
+        pieces = ([], [])
+        for g, start, stop in self._runs:
+            for side, part in zip(pieces, slots[g]):
+                side.append(part[:, start:stop].reshape(rows, -1))
+        for side, end in zip(pieces, _CRLF):
+            side.append(np.broadcast_to(end, (rows, 2)))
+        cells, keep = (np.concatenate(side, axis=1) for side in pieces)
+        keep[:, 0] = False              # no separator before a row's first field
+        return cells[keep].tobytes()

@@ -131,12 +131,6 @@ CSV_BLOCK_ROWS = 256
 #: numpy 2.4.6).
 KERNEL_MIN_ROWS = 32
 
-#: Bytes per slot of the block byte matrix :meth:`RowRenderer._csv_block`
-#: assembles (a multiple of 8, so the digit kernels' words store into it).
-SLOT = 24
-_CRLF_SLOT = np.frombuffer(b"\r\n".ljust(SLOT, b"\0"), np.uint8)
-_CRLF_KEEP = np.arange(SLOT) < 2
-
 #: Characters that make ``csv.writer``'s default dialect quote a field.
 _CSV_SPECIAL = frozenset(',"\r\n')
 
@@ -176,11 +170,9 @@ class RowRenderer:
     rows (the JSON responses' shape).  :meth:`csv_bytes` renders them as
     UTF-8 CSV byte-identical to ``csv.writer``'s default dialect (minimal
     quoting, CRLF line ends, ``repr`` floats), one bounded block of rows
-    at a time: every cell gets fixed-width byte slots, each led by its
-    separator — floats and ints from :mod:`repro.data.digits`, categories
-    from a pre-quoted vocabulary — the kinds' slot matrices are joined in
-    schema order, and one boolean compress of the kept bytes is the
-    block.  The per-value renderer it replaced stays as
+    at a time, through :class:`repro.data.digits.CsvRows`: exact digit
+    kernels for floats and ints, a pre-quoted vocabulary for categories,
+    and one byte layout.  The per-value renderer it replaced stays as
     :meth:`_reference_csv_block`, the oracle the tests and ``python -m
     repro bench`` compare it with.
     """
@@ -203,56 +195,39 @@ class RowRenderer:
         sizes = np.array([spec.n_categories for spec in specs], dtype=int)
         self._tops = sizes - 1
         self._offsets = np.cumsum(sizes) - sizes
-        categories = [c for spec in specs for c in spec.categories]
-        quoted = [_csv_field(c) for c in categories]
+        quoted = [[_csv_field(c) for c in spec.categories] for spec in specs]
         if schema.n_columns == 1:
             # csv.writer quotes a record that would otherwise be an empty
             # line: the lone field of a one-column row.
-            quoted = [q or '""' for q in quoted]
-        self._vocabulary = np.array(categories, dtype=object)
-        self._csv_vocabulary = np.array(quoted, dtype=object)
+            quoted = [[q or '""' for q in column] for column in quoted]
+        self._vocabulary = np.array(
+            [c for spec in specs for c in spec.categories], dtype=object)
+        self._csv_vocabulary = np.array(
+            [q for column in quoted for q in column], dtype=object)
         self._all_continuous = len(self._continuous) == schema.n_columns
         #: The CSV header line (column names), terminator included.
         self.csv_header = ",".join(map(_csv_field, schema.names)) + "\r\n"
         self._csv_header_bytes = self.csv_header.encode("utf-8")
         # The digit kernels load with the first renderer, not with
         # ``import repro`` (which training processes pay for).
-        from repro.data import digits
+        from repro.data.digits import CsvRows
 
-        # Every cell owns whole SLOT-byte slots of a block's byte matrix:
-        # two per float (the digits' integer and fraction copies), one per
-        # int, enough for the longest category, and one row terminator.
-        # Each slot starts with the field separator.
-        encoded = [b"," + q.encode("utf-8") for q in quoted]
-        cat_slots = -(-max(map(len, encoded), default=1) // SLOT)
-        self._cat_bytes = np.zeros((len(encoded), cat_slots * SLOT), np.uint8)
-        self._cat_keep = np.zeros((len(encoded), cat_slots * SLOT), bool)
-        for i, text in enumerate(encoded):
-            self._cat_bytes[i, : len(text)] = np.frombuffer(text, np.uint8)
-            self._cat_keep[i, : len(text)] = True
-        self._widths = (digits.FLOAT_SLOT // SLOT, digits.INT_SLOT // SLOT,
-                        cat_slots)
-        # Runs of same-kind columns, as (kind, first, last + 1) positions in
-        # that kind's column list: the block's byte matrix is the kinds'
-        # slot matrices cut at these runs and joined in schema order.
-        group = {ColumnKind.CONTINUOUS: 0, ColumnKind.DISCRETE: 1,
-                 ColumnKind.CATEGORICAL: 2}
-        self._runs, seen = [], [0, 0, 0]
-        for kind in kinds:
-            g = group[kind]
-            if self._runs and self._runs[-1][0] == g:
-                self._runs[-1][2] += 1
-            else:
-                self._runs.append([g, seen[g], seen[g] + 1])
-            seen[g] += 1
+        texts = iter(quoted)
+        self._csv_rows = CsvRows([
+            float if kind is ColumnKind.CONTINUOUS
+            else int if kind is ColumnKind.DISCRETE else next(texts)
+            for kind in kinds])
+
+    def _codes(self, values: np.ndarray) -> np.ndarray:
+        """The categorical columns' codes, rounded and clipped to range."""
+        return np.clip(np.rint(values[:, self._categorical]).astype(int),
+                       0, self._tops)
 
     def _decode(self, values: np.ndarray, vocabulary: np.ndarray) -> tuple:
         """``values`` split by kind and decoded: (floats, ints, strings)."""
-        codes = np.clip(np.rint(values[:, self._categorical]).astype(int),
-                        0, self._tops)
         return (values[:, self._continuous],
                 _discrete_ints(values[:, self._discrete]),
-                vocabulary[codes + self._offsets])
+                vocabulary[self._codes(values) + self._offsets])
 
     def rows(self, values: np.ndarray) -> list[list]:
         """Every row of ``values`` decoded, as a list per row."""
@@ -267,39 +242,14 @@ class RowRenderer:
 
     def _csv_block(self, values: np.ndarray) -> bytes:
         """The CSV bytes of one block of rows."""
-        rows = values.shape[0]
-        if rows < KERNEL_MIN_ROWS:
+        if values.shape[0] < KERNEL_MIN_ROWS:
             return self._reference_csv_block(values).encode("utf-8")
-        from repro.data import digits
-
         ints = _discrete_ints(values[:, self._discrete])
         if ints.dtype == object:
             # Integers past int64: str() of Python ints, cell by cell.
             return self._reference_csv_block(values).encode("utf-8")
-        parts = [None, None, None]
-        for g, index, kernel, part, masks in (
-                (0, self._continuous, digits.float_slots,
-                 values[:, self._continuous], digits.FLOAT_MASKS),
-                (1, self._discrete, digits.int_slots, ints, digits.INT_MASKS)):
-            if index.size:
-                slots, pattern = kernel(part)
-                parts[g] = (slots.view(np.uint8).reshape(rows, -1, SLOT),
-                            masks[pattern].reshape(rows, -1, SLOT))
-        if self._categorical.size:
-            codes = np.clip(np.rint(values[:, self._categorical]).astype(int),
-                            0, self._tops) + self._offsets
-            parts[2] = (self._cat_bytes[codes].reshape(rows, -1, SLOT),
-                        self._cat_keep[codes].reshape(rows, -1, SLOT))
-        pieces = [[], []]
-        for g, start, stop in self._runs:
-            width = self._widths[g]
-            for side, matrix in zip(pieces, parts[g]):
-                side.append(matrix[:, start * width: stop * width])
-        for side, end in zip(pieces, (_CRLF_SLOT, _CRLF_KEEP)):
-            side.append(np.broadcast_to(end, (rows, 1, SLOT)))
-        cells, keep = (np.concatenate(side, axis=1) for side in pieces)
-        keep[:, 0, 0] = False               # no separator before the first field
-        return cells[keep].tobytes()
+        return self._csv_rows.render(values[:, self._continuous], ints,
+                                     self._codes(values))
 
     def _reference_csv_block(self, values: np.ndarray) -> str:
         """The per-value renderer: one block's CSV text through ``repr``,
@@ -314,19 +264,21 @@ class RowRenderer:
             columns[j] = column
         return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
-    def csv_bytes(self, values: np.ndarray, header: bool = False,
-                  block_rows: int = CSV_BLOCK_ROWS) -> bytes:
+    def csv_byte_blocks(self, values: np.ndarray,
+                        block_rows: int = CSV_BLOCK_ROWS):
+        """Yield the UTF-8 CSV of ``values``' rows, ``block_rows`` at a time."""
+        for start in range(0, values.shape[0], block_rows):
+            yield self._csv_block(values[start:start + block_rows])
+
+    def csv_bytes(self, values: np.ndarray, header: bool = False) -> bytes:
         """The UTF-8 CSV of ``values``' rows, after the header if asked."""
-        blocks = [self._csv_block(values[start:start + block_rows])
-                  for start in range(0, values.shape[0], block_rows)]
-        if header:
-            blocks.insert(0, self._csv_header_bytes)
-        return b"".join(blocks)
+        blocks = self.csv_byte_blocks(values)
+        return b"".join([self._csv_header_bytes, *blocks] if header else blocks)
 
     def csv_blocks(self, values: np.ndarray, block_rows: int = CSV_BLOCK_ROWS):
         """Yield the CSV text of ``values``' rows, ``block_rows`` at a time."""
-        for start in range(0, values.shape[0], block_rows):
-            yield self._csv_block(values[start:start + block_rows]).decode("utf-8")
+        for block in self.csv_byte_blocks(values, block_rows):
+            yield block.decode("utf-8")
 
     def csv_text(self, values: np.ndarray, header: bool = False) -> str:
         """The CSV text of ``values``' rows, after the header if asked."""
@@ -364,8 +316,7 @@ def decoded_rows(table: Table) -> list[list]:
 def write_csv(table: Table, path) -> None:
     """Write a Table to UTF-8 CSV, decoding categorical codes to their strings."""
     renderer = row_renderer(table.schema)
-    values = table.values
     with open(path, "wb") as handle:
         handle.write(renderer.csv_header.encode("utf-8"))
-        for start in range(0, values.shape[0], CSV_BLOCK_ROWS):
-            handle.write(renderer._csv_block(values[start:start + CSV_BLOCK_ROWS]))
+        for block in renderer.csv_byte_blocks(table.values):
+            handle.write(block)

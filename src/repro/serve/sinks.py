@@ -135,7 +135,8 @@ class CsvSink(_AtomicSink):
         )
         if table.schema is not self.schema and table.schema != self.schema:
             raise ValueError("chunk schema does not match the sink schema")
-        self._handle.write(self._renderer.csv_bytes(table.values))
+        for block in self._renderer.csv_byte_blocks(table.values):
+            self._handle.write(block)
         self.rows_written += table.n_rows
         return table.n_rows
 

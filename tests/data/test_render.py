@@ -1,6 +1,6 @@
 """The byte-path CSV renderer and its digit kernels, against their oracles.
 
-``float_texts``/``int_texts`` must equal ``repr``/``str`` for every value
+The digit kernels' texts must equal ``repr``/``str`` for every value
 (the kernel certifies what it can and hands the rest to ``repr``), and
 :meth:`RowRenderer.csv_bytes` must equal the per-value reference renderer
 byte for byte on any schema.
@@ -12,9 +12,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import digits
-from repro.data.io import KERNEL_MIN_ROWS, RowRenderer, write_csv
+from repro.data.io import CSV_BLOCK_ROWS, KERNEL_MIN_ROWS, RowRenderer, write_csv
 from repro.data.schema import ColumnKind, ColumnRole, ColumnSpec, TableSchema
 from repro.data.table import Table
+
+
+def _texts(slots, masks) -> list[str]:
+    """Each slot's kept bytes after its separator, as text."""
+    words, pattern = slots
+    cells = words.view(np.uint8).reshape(len(words), -1)[:, 1:]
+    return [cell[keep].tobytes().decode("ascii")
+            for cell, keep in zip(cells, masks[pattern][:, 1:])]
+
+
+def float_texts(values: np.ndarray) -> list[str]:
+    """``[repr(v) for v in values]`` through the float kernel."""
+    return _texts(digits.float_slots(values), digits.FLOAT_MASKS)
+
+
+def int_texts(values: np.ndarray) -> list[str]:
+    """``[str(v) for v in values]`` through the int kernel."""
+    return _texts(digits.int_slots(values), digits.INT_MASKS)
 
 
 def _reprs(values) -> list[str]:
@@ -45,7 +63,7 @@ class TestDigitKernel:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=64))
     def test_floats_match_repr(self, values):
-        assert digits.float_texts(np.array(values)) == _reprs(values)
+        assert float_texts(np.array(values)) == _reprs(values)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(1e-4, 1e16, exclude_max=True), min_size=1,
@@ -53,23 +71,23 @@ class TestDigitKernel:
            st.booleans())
     def test_certified_range_matches_repr(self, values, negate):
         v = np.array(values) * (-1.0 if negate else 1.0)
-        assert digits.float_texts(v) == _reprs(v)
+        assert float_texts(v) == _reprs(v)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
     def test_any_bit_pattern_matches_repr(self, bits):
         v = np.array(bits, dtype=np.uint64).view(np.float64)
-        assert digits.float_texts(v) == _reprs(v)
+        assert float_texts(v) == _reprs(v)
 
     def test_boundary_set_matches_repr(self):
         v = _boundary_floats()
-        assert digits.float_texts(v) == _reprs(v)
+        assert float_texts(v) == _reprs(v)
 
     def test_short_decimals_match_repr(self):
         rng = np.random.default_rng(1)
         v = np.concatenate([np.round(rng.uniform(-1e4, 1e4, 2000), places)
                             for places in range(8)])
-        assert digits.float_texts(v) == _reprs(v)
+        assert float_texts(v) == _reprs(v)
 
     def test_kernel_certifies_the_common_case(self):
         """The oracle tests would pass on a kernel that always fell back;
@@ -87,13 +105,13 @@ class TestDigitKernel:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=64))
     def test_ints_match_str(self, values):
-        assert digits.int_texts(np.array(values, dtype=np.int64)) == \
+        assert int_texts(np.array(values, dtype=np.int64)) == \
             [str(v) for v in values]
 
     def test_int_extremes(self):
         values = [-2**63, 2**63 - 1, 0, -1, 1, 9, 10, 99, 100, 10**18, -10**18]
         values += [10**k - 1 for k in range(1, 19)] + [10**k for k in range(19)]
-        assert digits.int_texts(np.array(values, dtype=np.int64)) == \
+        assert int_texts(np.array(values, dtype=np.int64)) == \
             [str(v) for v in values]
 
 
@@ -111,7 +129,9 @@ _DISCRETES = st.one_of(
     st.sampled_from([-0.0, -2.5, 0.5, 1e16, -1e18, 2.0**62, -2.0**63]),
     st.floats(-1e6, 1e6),
 )
-_CATEGORY = st.text(alphabet=st.sampled_from(list('ab ,"\r\né中')), max_size=5)
+# Up to 12 characters: a label of several quotes or CJK characters
+# outgrows one TEXT_STEP, so columns land in different width groups.
+_CATEGORY = st.text(alphabet=st.sampled_from(list('ab ,"\r\né中')), max_size=12)
 
 
 @st.composite
@@ -143,12 +163,12 @@ class TestCsvBytes:
     @given(_tables(), st.integers(KERNEL_MIN_ROWS, 3 * KERNEL_MIN_ROWS))
     def test_matches_the_reference_renderer(self, table, block_rows):
         renderer = RowRenderer(table.schema)
-        got = renderer.csv_bytes(table.values, block_rows=block_rows)
-        assert got == _reference(renderer, table.values, block_rows)
+        got = renderer.csv_bytes(table.values)
+        assert got == _reference(renderer, table.values, CSV_BLOCK_ROWS)
         assert renderer.csv_bytes(table.values, header=True) == \
             renderer.csv_header.encode("utf-8") + got
         assert "".join(renderer.csv_blocks(table.values, block_rows)) == \
-            got.decode("utf-8")
+            _reference(renderer, table.values, block_rows).decode("utf-8")
 
     @pytest.mark.parametrize("kind", list(ColumnKind))
     def test_one_column_tables(self, kind):
@@ -202,6 +222,33 @@ class TestCsvBytes:
         rng = np.random.default_rng(4)
         values = table.values + rng.normal(0.0, 1e-3, table.values.shape)
         renderer = RowRenderer(table.schema)
-        for block_rows in (KERNEL_MIN_ROWS, 256, 1000):
-            assert renderer.csv_bytes(values, block_rows=block_rows) == \
-                _reference(renderer, values, block_rows)
+        assert renderer.csv_bytes(values) == \
+            _reference(renderer, values, CSV_BLOCK_ROWS)
+        for block_rows in (KERNEL_MIN_ROWS, 1000):
+            assert "".join(renderer.csv_blocks(values, block_rows)) == \
+                _reference(renderer, values, block_rows).decode("utf-8")
+
+    def test_a_long_category_widens_only_its_own_column(self):
+        """A free-text column's long label must not widen the slots of
+        every other categorical column (they share one table and width)."""
+        long_label = 'a "quoted", long, é label ' * 12
+        schema = TableSchema([
+            ColumnSpec("x", ColumnKind.CONTINUOUS, ColumnRole.SENSITIVE),
+            ColumnSpec("short", ColumnKind.CATEGORICAL, ColumnRole.SENSITIVE,
+                       ("a", "b,c")),
+            ColumnSpec("text", ColumnKind.CATEGORICAL, ColumnRole.SENSITIVE,
+                       ("", long_label, "z")),
+            ColumnSpec("also_short", ColumnKind.CATEGORICAL,
+                       ColumnRole.SENSITIVE, ("q", "r")),
+        ])
+        rng = np.random.default_rng(5)
+        values = np.column_stack([
+            rng.normal(0.0, 100.0, 300), rng.integers(0, 2, 300),
+            rng.integers(0, 3, 300), rng.integers(0, 2, 300)]).astype(float)
+        renderer = RowRenderer(schema)
+        assert renderer.csv_bytes(values) == \
+            _reference(renderer, values, CSV_BLOCK_ROWS)
+        widths = sorted(cells.shape[1]
+                        for _, _, cells, _ in renderer._csv_rows._texts)
+        assert widths[0] == digits.TEXT_STEP
+        assert len(widths) == 2 and widths[1] >= len(long_label)
